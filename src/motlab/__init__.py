@@ -16,7 +16,6 @@ from .costs import (
     build_maxcut_cost,
     build_pairwise_from_graph,
     build_twosat_cost,
-    cost_upper_bound,
     is_submodular,
     is_supermodular,
 )
@@ -63,7 +62,5 @@ from .tensors import (
     marginal,
     round_to_polytope,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

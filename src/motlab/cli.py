@@ -241,15 +241,9 @@ def _job_argv(job: dict, base: Path, default_seed: int, idx: int, out_dir: Path)
 def _batch_worker(argv: list[str]) -> tuple[int, dict]:
     t0 = time.perf_counter()
     try:
-        code, report = _dispatch(argv)
+        code, report = _guarded(argv)
     except SystemExit as exc:  # argparse errors inside workers
         code, report = int(exc.code or 2), {}
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, report = EXIT_CAP, {}
-    except (formats.SchemaError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, report = EXIT_SCHEMA, {}
     wall = 1000 * (time.perf_counter() - t0)
     return code, {
         "value": report.get("value"),
@@ -380,17 +374,21 @@ def _dispatch(argv: list[str]) -> tuple[int, dict]:
     return _run_batch(args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _guarded(argv: list[str]) -> tuple[int, dict]:
+    """``_dispatch`` with input errors reported on stderr and mapped to exit codes."""
     try:
-        code, _ = _dispatch(argv)
-        return code
+        return _dispatch(argv)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_CAP, {}
     except (formats.SchemaError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return EXIT_SCHEMA, {}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    return _guarded(argv)[0]
 
 
 if __name__ == "__main__":

@@ -58,10 +58,6 @@ class CostOracle:
         raise NotImplementedError
 
 
-def cost_upper_bound(C: CostOracle) -> float:
-    return C.upper_bound()
-
-
 @dataclass(frozen=True)
 class DenseCost(CostOracle):
     """Explicit dense tensor, used at desk scale and as the reference encoding."""

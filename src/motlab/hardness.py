@@ -117,11 +117,9 @@ def _perm_abs_det(M: np.ndarray) -> float:
     k = M.shape[0]
     total = 0.0
     for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
         # count inversions for the permutation sign
         inv = sum(
-            1 for a in range(k) for b in range(a + 1, k) if seen[a] > seen[b]
+            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
         )
         sign = -1 if inv % 2 else 1
         prod = 1.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import CostOracle, TwoSatCost
 from .graphs import twosat_satisfying_assignment
-from .tensors import check_cap
+from .tensors import along, check_cap
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def objective_tensor(C: CostOracle, p, cap: int | None = None) -> np.ndarray:
     f = np.array(C.materialize(cap), dtype=float)
     p = as_weights(p, C.n, C.k)
     for i in range(C.k):
-        f -= p[i].reshape((1,) * i + (C.n,) + (1,) * (C.k - i - 1))
+        f -= along(p[i], i, C.k)
     return f
 
 

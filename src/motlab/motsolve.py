@@ -17,12 +17,15 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .costs import CostOracle, SetFunctionCost, is_submodular
+from .minsolve import objective_tensor
 from .tensors import (
     CouplingTensor,
     DualPotentials,
     MarginalSpec,
     all_index_tuples,
+    along,
     check_cap,
+    others,
 )
 
 # LP entries below this are treated as outside the basic support.
@@ -149,26 +152,19 @@ def sinkhorn(
     check_cap(n, k, cap)
 
     cost = C.materialize(cap)
-    base = -cfg.eta * cost - 1.0
+    log_P = -cfg.eta * cost - 1.0
     if spec.constrained:
         # constant shifts are absorbed by the first scaling update; keep the
         # initial iterate under 1 so exp never overflows at large eta * c_max
-        base = base - base.max()
-    lam = {i: np.zeros(n) for i in spec.constrained}
-
-    def log_iterate():
-        out = np.array(base)
-        for i, lv in lam.items():
-            out += lv.reshape((1,) * i + (n,) + (1,) * (k - i - 1))
-        return out
+        log_P -= log_P.max()
 
     def marginal_gap(P):
         return sum(
-            float(np.abs(P.sum(axis=tuple(ax for ax in range(k) if ax != i)) - mu).sum())
+            float(np.abs(P.sum(axis=others(i, k)) - mu).sum())
             for i, mu in zip(spec.constrained, spec.marginals)
         )
 
-    best_P = np.exp(log_iterate())
+    best_P = np.exp(log_P)
     best_err = marginal_gap(best_P)
     converged = best_err <= cfg.tol
     cycles = 0
@@ -179,12 +175,12 @@ def sinkhorn(
     while not converged and cycles < cfg.max_iters:
         cycles += 1
         for i in spec.constrained:
-            axes = tuple(ax for ax in range(k) if ax != i)
-            log_m = logsumexp(log_iterate(), axis=axes)
+            log_m = logsumexp(log_P, axis=others(i, k))
             with np.errstate(invalid="ignore"):
-                lam[i] = lam[i] + log_mu[i] - log_m
-            lam[i] = np.where(np.isneginf(log_mu[i]), -np.inf, lam[i])
-        P = np.exp(log_iterate())
+                step = log_mu[i] - log_m
+            # a zero marginal entry pins its slice at -inf, where -inf - -inf is nan
+            log_P += along(np.where(np.isneginf(log_mu[i]), -np.inf, step), i, k)
+        P = np.exp(log_P)
         err = marginal_gap(P)
         if err < best_err:
             best_P, best_err = P, err
@@ -289,9 +285,4 @@ def check_dual_feasibility(
 
 def dual_slack_minimum(C: CostOracle, duals: DualPotentials, cap: int | None = None) -> float:
     """min over tuples of C_j - sum_i p[i][j_i] (negative means infeasible)."""
-    if (duals.k, duals.n) != (C.k, C.n):
-        raise ValueError("dimension mismatch between cost and potentials")
-    slack = np.array(C.materialize(cap), dtype=float)
-    for i in range(C.k):
-        slack -= duals.p[i].reshape((1,) * i + (C.n,) + (1,) * (C.k - i - 1))
-    return float(slack.min())
+    return float(objective_tensor(C, duals.p, cap).min())

@@ -208,13 +208,6 @@ class MarginalSpec:
     def marginal_for(self, i: int) -> np.ndarray:
         return self.marginals[self.constrained.index(i)]
 
-    def as_matrix(self) -> np.ndarray:
-        """(k, n) array of marginals, filling unconstrained modes with uniform."""
-        out = np.full((self.k, self.n), 1.0 / self.n)
-        for i, mu in zip(self.constrained, self.marginals):
-            out[i] = mu
-        return out
-
 
 @dataclass(frozen=True)
 class DualPotentials:
@@ -243,6 +236,16 @@ class DualPotentials:
         return self.p.shape[1]
 
 
+def along(v: np.ndarray, i: int, k: int) -> np.ndarray:
+    """A length-n vector reshaped to broadcast along mode i of a k-mode tensor."""
+    return v.reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
+
+
+def others(i: int, k: int) -> tuple[int, ...]:
+    """Every mode of a k-mode tensor but i: the axes summed out for the i-th marginal."""
+    return tuple(ax for ax in range(k) if ax != i)
+
+
 def marginal(P: CouplingTensor, i: int) -> np.ndarray:
     """The i-th marginal: entry j sums P over all tuples whose i-th coordinate is j."""
     if i < 0 or i >= P.k:
@@ -253,8 +256,7 @@ def marginal(P: CouplingTensor, i: int) -> np.ndarray:
         if len(vals):
             np.add.at(out, idx[:, i], vals)
         return out
-    axes = tuple(ax for ax in range(P.k) if ax != i)
-    return P.dense.sum(axis=axes)
+    return P.dense.sum(axis=others(i, P.k))
 
 
 def marginal_matrix(P: CouplingTensor) -> np.ndarray:
@@ -294,7 +296,7 @@ def entropy(P: CouplingTensor) -> float:
     return float(-np.sum(vals * np.log(vals)))
 
 
-def inner_product(P: CouplingTensor, C, cap: int | None = None) -> float:
+def inner_product(P: CouplingTensor, C) -> float:
     """<P, C> summed over the support of P against an implicit cost oracle."""
     if (P.n, P.k) != (C.n, C.k):
         raise ValueError(f"dimension mismatch: tensor ({P.n},{P.k}) vs cost ({C.n},{C.k})")
@@ -322,20 +324,18 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec, cap: int | None = N
     if abs(mass - 1.0) > MASS_TOL:
         raise ValueError(f"rounding requires total mass 1 +- {MASS_TOL}, got {mass}")
 
-    n, k = P.n, P.k
+    k = P.k
     arr = np.array(P.to_dense(cap))
     for i in range(k):
-        axes = tuple(ax for ax in range(k) if ax != i)
-        m = arr.sum(axis=axes)
+        m = arr.sum(axis=others(i, k))
         mu = spec.marginals[i]
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(m > 0, np.minimum(1.0, mu / m), 1.0)
-        arr *= scale.reshape((1,) * i + (n,) + (1,) * (k - i - 1))
+        arr *= along(scale, i, k)
 
     deficits = []
     for i in range(k):
-        axes = tuple(ax for ax in range(k) if ax != i)
-        deficits.append(np.maximum(spec.marginals[i] - arr.sum(axis=axes), 0.0))
+        deficits.append(np.maximum(spec.marginals[i] - arr.sum(axis=others(i, k)), 0.0))
     total = float(np.mean([d.sum() for d in deficits]))
     if total >= DEFICIT_EPS:
         corr = deficits[0]

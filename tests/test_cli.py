@@ -255,6 +255,28 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert run("serial", 1) == run("par", 2)
 
 
+@pytest.mark.parametrize("njobs", [1, 2])
+def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", "8")
+    rng = np.random.default_rng(8)
+    save_instance(tmp_path / "ok.json", random_cost(rng, "dense", 2, 2),
+                  MarginalSpec.fully_fixed(random_marginals(rng, 2, 2)))
+    save_instance(tmp_path / "big.json", random_cost(rng, "dense", 3, 2),
+                  MarginalSpec.fully_fixed(random_marginals(rng, 3, 2)))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"jobs": [
+        {"command": "solve-mot", "instance": "ok.json", "flags": {"backend": "lp"}},
+        {"command": "solve-mot", "instance": "big.json", "flags": {"backend": "lp"}},
+        {"command": "solve-mot", "instance": "ok.json", "flags": {"no-such-flag": 1}},
+    ]}))
+    out = tmp_path / "s.csv"
+    code = main(["batch", str(mpath), "--jobs", str(njobs), "--csv", str(out),
+                 "--out-dir", str(tmp_path / "reports")])
+    assert code == 1
+    with open(out) as fh:
+        assert [r["pass"] for r in csv.DictReader(fh)] == ["true", "false", "false"]
+
+
 def test_batch_reference_failure_sets_exit(tmp_path):
     C = random_cost(np.random.default_rng(6), "dense", 2, 2)
     save_instance(tmp_path / "i.json", C, MarginalSpec.fully_fixed(random_marginals(np.random.default_rng(7), 2, 2)))

@@ -171,6 +171,18 @@ def test_sinkhorn_handles_zero_marginal_entries():
     assert P[1].sum() == 0.0
     assert is_coupling(sol.coupling, spec, 1e-9)
 
+    # zeros on two modes: the -inf steps of both stack in the carried
+    # log-iterate across several cycles
+    C = random_cost(np.random.default_rng(11), "dense", 3, 3)
+    spec = MarginalSpec.fully_fixed(
+        [np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.4, 0.0])]
+    )
+    sol = sinkhorn(C, spec, SinkhornConfig(eta=3.0, tol=1e-10))
+    assert sol.converged and sol.iterations > 1
+    P = sol.coupling.to_dense()
+    assert np.all(P[1] == 0.0) and np.all(P[:, :, 2] == 0.0)
+    assert is_coupling(sol.coupling, spec, 1e-9)
+
 
 def test_suggest_eta_inverts_entropy_bound():
     assert math.isclose(suggest_eta(3, 4, 0.1), 4 * math.log(3) / 0.1)
