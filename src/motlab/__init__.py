@@ -30,6 +30,7 @@ from .minsolve import (
 from .motsolve import (
     MotSolution,
     SinkhornConfig,
+    TransportLP,
     bernoulli_spec,
     chain_coupling,
     check_dual_feasibility,

@@ -302,6 +302,7 @@ def _run_batch(args) -> tuple[int, dict]:
                 "queries": "" if summary.get("queries") is None else summary["queries"],
                 "wall_ms": format(summary["wall_ms"], ".3f"),
                 "pass": str(passed).lower(),
+                "exit_code": code,
             }
         )
     with open(csv_path, "w", newline="") as fh:
@@ -309,7 +310,7 @@ def _run_batch(args) -> tuple[int, dict]:
             fh,
             fieldnames=[
                 "instance", "command", "value", "reference_value",
-                "abs_err", "queries", "wall_ms", "pass",
+                "abs_err", "queries", "wall_ms", "pass", "exit_code",
             ],
         )
         writer.writeheader()

@@ -31,7 +31,7 @@ from .costs import (
 from .formats import instance_digest
 from .graphs import CnfFormula, KPartiteGraph, UndirectedGraph
 from .minsolve import min_bruteforce, twosat_min_zero
-from .motsolve import bernoulli_spec, solve_lp, solve_submodular
+from .motsolve import TransportLP, bernoulli_spec, solve_lp, solve_submodular
 from .reduction import MotOracle, min_via_mot_approx, min_via_mot_exact
 from .tensors import MarginalSpec
 
@@ -363,13 +363,14 @@ def lipschitz_experiment(C: CostOracle, trials: int = 100, seed: int = 0) -> dic
     """Sampled transport-value ratios |dV| / |dmu|_1 against the 2 c_max bound."""
     rng = np.random.default_rng(seed)
     bound = 2.0 * C.upper_bound()
+    lp = TransportLP(C, range(C.k))
     worst = 0.0
     for _ in range(trials):
         mu = random_marginals(rng, C.n, C.k)
         nu = random_marginals(rng, C.n, C.k)
         dv = abs(
-            solve_lp(C, MarginalSpec.fully_fixed(mu)).value
-            - solve_lp(C, MarginalSpec.fully_fixed(nu)).value
+            lp.solve(MarginalSpec.fully_fixed(mu)).value
+            - lp.solve(MarginalSpec.fully_fixed(nu)).value
         )
         dmu = sum(float(np.abs(a - b).sum()) for a, b in zip(mu, nu))
         if dmu > 0:

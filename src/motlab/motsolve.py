@@ -9,6 +9,7 @@ modes are matched, the rest of the coupling is free.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,43 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+# The same solve handed straight to a HiGHS model: what linprog's
+# method="highs-ds" sets from _LP_OPTIONS, with logging off.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "solver": "simplex",
+    "primal_feasibility_tolerance": _LP_OPTIONS["primal_feasibility_tolerance"],
+    "dual_feasibility_tolerance": _LP_OPTIONS["dual_feasibility_tolerance"],
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+# linprog's feasibility check of a reported optimum: sqrt(default tol) * 10.
+_RESULT_TOL = math.sqrt(1e-9) * 10
+
+try:  # private scipy bindings; TransportLP falls back to linprog without them
+    from scipy.optimize._highspy import _core
+except ImportError:
+    _core = None
+
+_CORE_NAMES = (
+    "_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus",
+    "MatrixFormat", "kHighsInf",
+)
+_HIGHS_METHODS = (
+    "passOptions", "passModel", "clearSolver", "changeRowBounds", "run",
+    "getModelStatus", "modelStatusToString", "getSolution", "getInfo",
+)
+
+
+def _highs_available() -> bool:
+    """Whether scipy's private HiGHS bindings have everything TransportLP uses."""
+    return (
+        _core is not None
+        and all(hasattr(_core, name) for name in _CORE_NAMES)
+        and all(hasattr(_core._Highs, name) for name in _HIGHS_METHODS)
+    )
 
 
 @dataclass(frozen=True)
@@ -76,62 +114,162 @@ def suggest_eta(n: int, k: int, value_gap: float) -> float:
     return k * math.log(n) / value_gap
 
 
+class TransportLP:
+    """The exact transport LP of one cost with a fixed set of constrained modes.
+
+    Column j has cost C_j and a unit coefficient in one equality row per
+    constrained mode; only the row bounds (the marginals) change between
+    queries.  The cost is materialized and the column-wise constraint matrix
+    built once, and handed to one HiGHS model that every ``solve`` reuses.
+    Each solve clears the solver first, so it starts cold from the same model
+    a one-shot ``linprog`` call would build and returns the same basic
+    solution bit for bit.  Solves are serialized by a lock, so one instance
+    may be shared across threads.  Without scipy's private HiGHS bindings,
+    ``solve`` goes through ``linprog`` on the same matrix.
+    """
+
+    def __init__(self, C: CostOracle, constrained, cap: int | None = None):
+        constrained = tuple(constrained)
+        if not constrained:
+            raise ValueError("at least one constrained mode is required")
+        if any(i < 0 or i >= C.k for i in constrained):
+            raise ValueError(f"constrained mode out of range [0, {C.k})")
+        n, k = C.n, C.k
+        total = check_cap(n, k, cap)
+        self.n, self.k, self.constrained = n, k, constrained
+        self._c = C.materialize(cap).ravel()
+        m = len(constrained)
+        # CSC layout: column j holds row pos * n + j_i for each constrained mode i
+        self._indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
+        self._indices = (
+            all_index_tuples(n, k)[:, constrained] + n * np.arange(m)
+        ).ravel().astype(np.int32)
+        self._nrows = n * m
+        self._highs = self._build_highs() if _highs_available() else None
+        self._lock = threading.Lock()
+
+    def _build_highs(self):
+        total, nnz = self._c.size, self._indices.size
+        lp = _core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = total
+        lp.num_row_ = lp.a_matrix_.num_row_ = self._nrows
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.col_cost_ = self._c
+        lp.col_lower_ = np.zeros(total)
+        lp.col_upper_ = np.full(total, _core.kHighsInf)
+        lp.row_lower_ = lp.row_upper_ = np.zeros(self._nrows)
+        lp.a_matrix_.start_ = self._indptr
+        lp.a_matrix_.index_ = self._indices
+        lp.a_matrix_.value_ = np.ones(nnz)
+        options = _core.HighsOptions()
+        for key, val in _HIGHS_OPTIONS.items():
+            setattr(options, key, val)
+        highs = _core._Highs()
+        if highs.passOptions(options) == _core.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the transport LP options")
+        if highs.passModel(lp) == _core.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the transport LP model")
+        return highs
+
+    def solve(self, spec: MarginalSpec) -> MotSolution:
+        """Optimal value, basic coupling and dual potentials for ``spec``.
+
+        Unconstrained modes get zero potentials; the coupling is a basic
+        solution (support at most the constraint-matrix rank).
+        """
+        if (self.n, self.k) != (spec.n, spec.k):
+            raise ValueError("dimension mismatch between cost and marginal spec")
+        if spec.constrained != self.constrained:
+            raise ValueError(
+                f"spec constrains modes {spec.constrained}, this LP was built for {self.constrained}"
+            )
+        b = np.concatenate(spec.marginals)
+        if self._highs is None:
+            x, fun, y, nit = self._solve_linprog(b)
+        else:
+            with self._lock:
+                x, fun, y, nit = self._solve_highs(b)
+
+        n, k = self.n, self.k
+        keep = np.flatnonzero(x > _SUPPORT_EPS)
+        idx = np.stack(np.unravel_index(keep, (n,) * k), axis=1)
+        coupling = CouplingTensor.from_entries(
+            n, k, [(tuple(row), float(x[flat])) for row, flat in zip(idx, keep)]
+        )
+        p = np.zeros((k, n))
+        for pos, i in enumerate(self.constrained):
+            p[i] = y[pos * n : (pos + 1) * n]
+
+        return MotSolution(
+            value=float(fun),
+            coupling=coupling,
+            duals=DualPotentials(p),
+            backend="lp",
+            iterations=int(nit),
+            dual_value=float(b @ y),
+        )
+
+    def _solve_highs(self, b: np.ndarray):
+        highs = self._highs
+        highs.clearSolver()
+        for row, bound in enumerate(b.tolist()):
+            highs.changeRowBounds(row, bound, bound)
+        highs.run()
+        model_status = highs.getModelStatus()
+        if model_status != _core.HighsModelStatus.kOptimal:
+            _raise_status(
+                _linprog_status(model_status),
+                f"HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)}",
+            )
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        # linprog's post-check: a reported optimum must also be feasible
+        tol = _RESULT_TOL
+        if x.min() < -tol or np.abs(b - np.asarray(solution.row_value)).max() > tol:
+            _raise_status(4, f"solution violates the constraints by more than {tol:.2E}")
+        info = highs.getInfo()
+        return x, info.objective_function_value, np.array(solution.row_dual), info.simplex_iteration_count
+
+    def _solve_linprog(self, b: np.ndarray):
+        A = sp.csc_matrix(
+            (np.ones(self._indices.size), self._indices, self._indptr),
+            shape=(self._nrows, self._c.size),
+        )
+        res = linprog(
+            self._c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
+        )
+        if res.status != 0:
+            _raise_status(res.status, res.message)
+        return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
+
+
+def _linprog_status(model_status) -> int:
+    """linprog's status code for a HiGHS model status that is not optimal."""
+    codes = _core.HighsModelStatus
+    return {
+        codes.kTimeLimit: 1,
+        codes.kIterationLimit: 1,
+        codes.kInfeasible: 2,
+        codes.kModelError: 2,
+        codes.kUnbounded: 3,
+    }.get(model_status, 4)
+
+
+def _raise_status(status: int, message: str):
+    if status == 2:
+        raise RuntimeError("transport LP reported infeasible for simplex marginals (internal error)")
+    raise RuntimeError(f"transport LP failed: status {status} ({message})")
+
+
 def solve_lp(C: CostOracle, spec: MarginalSpec, cap: int | None = None) -> MotSolution:
     """Exact transport value by LP over all n^k entries (desk-scale backend).
 
-    Column j has cost C_j and a unit coefficient in one equality row per
-    constrained mode.  Solved with HiGHS dual simplex, so the returned
-    coupling is a basic solution (support at most the constraint-matrix rank)
-    and the equality multipliers are optimal dual potentials; unconstrained
-    modes get zero potentials.
+    A one-shot ``TransportLP``: solved with HiGHS dual simplex, so the
+    returned coupling is a basic solution and the equality multipliers are
+    optimal dual potentials; unconstrained modes get zero potentials.
+    Callers querying one cost repeatedly should keep a ``TransportLP``.
     """
-    if (C.n, C.k) != (spec.n, spec.k):
-        raise ValueError("dimension mismatch between cost and marginal spec")
-    if not spec.constrained:
-        raise ValueError("at least one constrained mode is required")
-    n, k = C.n, C.k
-    total = check_cap(n, k, cap)
-
-    c = C.materialize(cap).ravel()
-    J = all_index_tuples(n, k)
-    nrows = n * len(spec.constrained)
-    rows = np.concatenate(
-        [pos * n + J[:, i] for pos, i in enumerate(spec.constrained)]
-    )
-    cols = np.tile(np.arange(total, dtype=np.int64), len(spec.constrained))
-    A = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(nrows, total)
-    ).tocsr()
-    b = np.concatenate(spec.marginals)
-
-    res = linprog(
-        c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
-    )
-    if res.status == 2:
-        raise RuntimeError("transport LP reported infeasible for simplex marginals (internal error)")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: status {res.status} ({res.message})")
-
-    x = res.x
-    keep = np.flatnonzero(x > _SUPPORT_EPS)
-    idx = np.stack(np.unravel_index(keep, (n,) * k), axis=1)
-    coupling = CouplingTensor.from_entries(
-        n, k, [(tuple(row), float(x[flat])) for row, flat in zip(idx, keep)]
-    )
-
-    y = np.asarray(res.eqlin.marginals)
-    p = np.zeros((k, n))
-    for pos, i in enumerate(spec.constrained):
-        p[i] = y[pos * n : (pos + 1) * n]
-
-    return MotSolution(
-        value=float(res.fun),
-        coupling=coupling,
-        duals=DualPotentials(p),
-        backend="lp",
-        iterations=int(res.nit),
-        dual_value=float(b @ y),
-    )
+    return TransportLP(C, spec.constrained, cap).solve(spec)
 
 
 def sinkhorn(

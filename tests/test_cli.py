@@ -274,7 +274,10 @@ def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
                  "--out-dir", str(tmp_path / "reports")])
     assert code == 1
     with open(out) as fh:
-        assert [r["pass"] for r in csv.DictReader(fh)] == ["true", "false", "false"]
+        rows = list(csv.DictReader(fh))
+    assert [r["pass"] for r in rows] == ["true", "false", "false"]
+    # over the dense cap (3) and rejected by argparse (2) stay distinguishable
+    assert [r["exit_code"] for r in rows] == ["0", "3", "2"]
 
 
 def test_batch_reference_failure_sets_exit(tmp_path):

@@ -9,12 +9,14 @@ from motlab import (
     MarginalSpec,
     SetFunctionCost,
     SinkhornConfig,
+    TransportLP,
     bernoulli_spec,
     chain_coupling,
     check_dual_feasibility,
     inner_product,
     is_coupling,
     lovasz_extension,
+    motsolve,
     round_to_polytope,
     sinkhorn,
     solve_lp,
@@ -103,6 +105,73 @@ def test_lp_basic_support_bound():
 def test_lp_requires_a_constraint():
     with pytest.raises(ValueError):
         solve_lp(PERM, MarginalSpec.partial(2, 2, {}))
+
+
+FAMILY_SIZES = [
+    (family, n, k)
+    for family in ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
+                   "log_determinant", "coulomb", "coulomb_buckingham")
+    for n, k in ((2, 2), (3, 3), (2, 4), (4, 3))
+] + [(family, 2, k) for family in ("set_function", "two_sat") for k in (2, 3, 4)]
+
+
+def _lp_specs(rng, n, k):
+    """Fully fixed, zero-entry, point-mass and partial marginals for one size."""
+    with_zeros = random_marginals(rng, n, k)
+    for i in (0, k - 1):
+        with_zeros[i][rng.integers(n)] = 0.0
+        with_zeros[i] /= with_zeros[i].sum()
+    free = {0: random_marginals(rng, n, 1)[0]}
+    if k > 2:
+        free[k - 1] = random_marginals(rng, n, 1)[0]
+    return [
+        MarginalSpec.fully_fixed(random_marginals(rng, n, k)),
+        MarginalSpec.fully_fixed(with_zeros),
+        MarginalSpec.point_masses(n, rng.integers(0, n, k)),
+        MarginalSpec.partial(n, k, free),
+    ]
+
+
+def _same_lp_solution(a, b):
+    return (
+        a.value == b.value
+        and a.dual_value == b.dual_value
+        and np.array_equal(a.duals.p, b.duals.p)
+        and a.iterations == b.iterations
+        and all(np.array_equal(x, y) for x, y in zip(a.coupling.support(), b.coupling.support()))
+    )
+
+
+def test_highs_model_matches_linprog_fallback_bitwise(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [(C, spec) for family, n, k in FAMILY_SIZES
+             for C in [random_cost(rng, family, n, k)] for spec in _lp_specs(rng, n, k)]
+    real_linprog = motsolve.linprog
+    linprog_calls = []
+
+    def counted_linprog(*args, **kwargs):
+        linprog_calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(motsolve, "linprog", counted_linprog)
+    highs = [solve_lp(C, spec) for C, spec in cases]
+    assert linprog_calls == []
+    monkeypatch.setattr(motsolve, "_core", None)
+    fallback = [solve_lp(C, spec) for C, spec in cases]
+    assert len(linprog_calls) == len(cases)
+    mismatched = [i for i, (a, b) in enumerate(zip(highs, fallback)) if not _same_lp_solution(a, b)]
+    assert mismatched == []
+
+
+def test_transport_lp_reuse_matches_one_shot_solves():
+    rng = np.random.default_rng(32)
+    C = random_cost(rng, "two_sat", 2, 4)
+    lp = TransportLP(C, range(4))
+    specs = _lp_specs(rng, 2, 4)[:3] * 2
+    for spec in specs:
+        assert _same_lp_solution(lp.solve(spec), solve_lp(C, spec))
+    with pytest.raises(ValueError, match="built for"):
+        lp.solve(_lp_specs(rng, 2, 4)[3])
 
 
 def test_dual_feasibility_checks():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from motlab import (
     IonCost,
     MarginalSpec,
     MotOracle,
+    TransportLP,
     build_clique_tensor,
     build_maxcut_cost,
     build_twosat_cost,
@@ -20,6 +23,8 @@ from motlab import (
     min_via_mot_exact,
     minimize_envelope_exact,
     purify,
+    reduction,
+    solve_lp,
     weighted_objective,
 )
 from motlab.corpus import random_cost, random_marginals
@@ -219,3 +224,59 @@ def test_query_counting():
     envelope_value(oracle, None, MarginalSpec.point_masses(2, (0, 0)))
     envelope_value(oracle, None, MarginalSpec.point_masses(2, (1, 1)))
     assert oracle.queries == 2
+
+
+def _same_answer(ans, sol):
+    return (
+        ans.value == sol.value
+        and np.array_equal(ans.duals, sol.duals.p)
+        and all(np.array_equal(x, y) for x, y in zip(ans.coupling.support(), sol.coupling.support()))
+    )
+
+
+def test_exact_oracle_reuses_one_model_per_constrained_set(monkeypatch):
+    built = []
+
+    class CountingLP(TransportLP):
+        def __init__(self, C, constrained, cap=None):
+            built.append(tuple(constrained))
+            super().__init__(C, constrained, cap)
+
+    monkeypatch.setattr(reduction, "TransportLP", CountingLP)
+    rng = np.random.default_rng(41)
+    C = random_cost(rng, "pairwise", 3, 3)
+    oracle = MotOracle.exact_lp(C)
+    A = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
+    B = MarginalSpec.point_masses(3, (2, 0, 1))
+    for spec in (A, B, A):
+        assert _same_answer(oracle.query(spec), solve_lp(C, spec))
+    assert built == [(0, 1, 2)]
+    partial = MarginalSpec.partial(3, 3, {0: A.marginals[0], 2: A.marginals[2]})
+    for spec in (partial, A, partial):
+        assert _same_answer(oracle.query(spec), solve_lp(C, spec))
+    assert built == [(0, 1, 2), (0, 2)]
+
+    specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(12)] + [partial, B]
+    expected = [solve_lp(C, spec) for spec in specs]
+    answers = [[None] * len(specs) for _ in range(4)]
+
+    def worker(slot):
+        order = range(len(specs)) if slot % 2 == 0 else reversed(range(len(specs)))
+        for i in order:
+            answers[slot][i] = oracle.query(specs[i])
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for slot in answers:
+        assert all(_same_answer(ans, sol) for ans, sol in zip(slot, expected))
+    assert oracle.queries == 6 + 4 * len(specs)
+    assert built == [(0, 1, 2), (0, 2)]
