@@ -54,26 +54,10 @@ _RESULT_TOL = math.sqrt(1e-9) * 10
 
 try:  # private scipy bindings; TransportLP falls back to linprog without them
     from scipy.optimize._highspy import _core
-except ImportError:
+
+    _core._Highs.clearSolver  # probe: the model-reuse call TransportLP depends on
+except (ImportError, AttributeError):
     _core = None
-
-_CORE_NAMES = (
-    "_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus",
-    "MatrixFormat", "kHighsInf",
-)
-_HIGHS_METHODS = (
-    "passOptions", "passModel", "clearSolver", "changeRowBounds", "run",
-    "getModelStatus", "modelStatusToString", "getSolution", "getInfo",
-)
-
-
-def _highs_available() -> bool:
-    """Whether scipy's private HiGHS bindings have everything TransportLP uses."""
-    return (
-        _core is not None
-        and all(hasattr(_core, name) for name in _CORE_NAMES)
-        and all(hasattr(_core._Highs, name) for name in _HIGHS_METHODS)
-    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +129,7 @@ class TransportLP:
             all_index_tuples(n, k)[:, constrained] + n * np.arange(m)
         ).ravel().astype(np.int32)
         self._nrows = n * m
-        self._highs = self._build_highs() if _highs_available() else None
+        self._highs = None if _core is None else self._build_highs()
         self._lock = threading.Lock()
 
     def _build_highs(self):
@@ -269,6 +253,8 @@ def solve_lp(C: CostOracle, spec: MarginalSpec, cap: int | None = None) -> MotSo
     optimal dual potentials; unconstrained modes get zero potentials.
     Callers querying one cost repeatedly should keep a ``TransportLP``.
     """
+    if (C.n, C.k) != (spec.n, spec.k):
+        raise ValueError("dimension mismatch between cost and marginal spec")
     return TransportLP(C, spec.constrained, cap).solve(spec)
 
 

@@ -23,8 +23,7 @@ from scipy.optimize import linprog
 
 from .costs import CostOracle
 from .minsolve import MinResult, as_weights, min_objective_gap, weighted_objective
-# solve_lp stays bound here: the benchmark's tracer self-test looks it up on this module.
-from .motsolve import TransportLP, solve_lp  # noqa: F401
+from .motsolve import TransportLP
 from .tensors import CouplingTensor, MarginalSpec
 
 # Half-gaps at or below this are treated as numerically indistinct; exact

@@ -107,6 +107,17 @@ def test_lp_requires_a_constraint():
         solve_lp(PERM, MarginalSpec.partial(2, 2, {}))
 
 
+@pytest.mark.parametrize("n, k", [(3, 2), (2, 3), (2, 1)])
+def test_lp_rejects_mismatched_spec_before_materializing(n, k, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("materialized a cost the spec does not fit")
+
+    monkeypatch.setattr(DenseCost, "materialize", fail)
+    spec = MarginalSpec.fully_fixed([np.full(n, 1.0 / n)] * k)
+    with pytest.raises(ValueError, match="dimension mismatch between cost and marginal spec"):
+        solve_lp(PERM, spec)
+
+
 FAMILY_SIZES = [
     (family, n, k)
     for family in ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
