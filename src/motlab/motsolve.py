@@ -38,26 +38,83 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
-# The same solve handed straight to a HiGHS model: what linprog's
-# method="highs-ds" sets from _LP_OPTIONS, with logging off.
-_HIGHS_OPTIONS = {
+# What linprog(method="highs") hands HiGHS with its default arguments:
+# presolve on, dual simplex strategy, HiGHS's own tolerances; logging off.
+HIGHS_OPTIONS = {
     "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+# The transport LP as method="highs-ds" sets it up from _LP_OPTIONS.
+_TRANSPORT_OPTIONS = {
+    **HIGHS_OPTIONS,
     "solver": "simplex",
     "primal_feasibility_tolerance": _LP_OPTIONS["primal_feasibility_tolerance"],
     "dual_feasibility_tolerance": _LP_OPTIONS["dual_feasibility_tolerance"],
-    "output_flag": False,
-    "log_to_console": False,
 }
 
 # linprog's feasibility check of a reported optimum: sqrt(default tol) * 10.
 _RESULT_TOL = math.sqrt(1e-9) * 10
 
-try:  # private scipy bindings; TransportLP falls back to linprog without them
+try:  # private scipy bindings; every HiGHS model falls back to linprog without them
     from scipy.optimize._highspy import _core
 
-    _core._Highs.clearSolver  # probe: the model-reuse call TransportLP depends on
+    _core._Highs.clearSolver  # probe: the model-reuse call the models depend on
 except (ImportError, AttributeError):
     _core = None
+
+
+def highs_model(c, A, col_lower, col_upper, row_lower, row_upper, options, what: str):
+    """A HiGHS model of min c.x subject to row_lower <= A x <= row_upper and
+    col_lower <= x <= col_upper, with ``options`` set; ``A`` is a CSC matrix
+    with int32 indices and ``what`` names the LP in error messages."""
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    highs_options = _core.HighsOptions()
+    for key, val in options.items():
+        setattr(highs_options, key, val)
+    highs = _core._Highs()
+    if highs.passOptions(highs_options) == _core.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS rejected the {what} options")
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS rejected the {what} model")
+    return highs
+
+
+def solve_highs(highs, col_lower, row_lower, row_upper, fail):
+    """Cold-start solve of a HiGHS model, checked as linprog checks its result.
+
+    The solver is cleared first, so the answer depends only on the model as
+    it stands, never on an earlier basis.  ``fail(status, message)`` must
+    raise; it is called with linprog's status code when the model is not
+    optimal or the solution breaks the bounds by more than linprog allows.
+    Returns x, the objective value, the row duals and the iteration count.
+    """
+    highs.clearSolver()
+    highs.run()
+    model_status = highs.getModelStatus()
+    if model_status != _core.HighsModelStatus.kOptimal:
+        fail(
+            _linprog_status(model_status),
+            f"HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)}",
+        )
+    solution = highs.getSolution()
+    x, rows = np.array(solution.col_value), np.array(solution.row_value)
+    tol = _RESULT_TOL
+    if max((col_lower - x).max(), (row_lower - rows).max(), (rows - row_upper).max()) > tol:
+        fail(4, f"solution violates the constraints by more than {tol:.2E}")
+    info = highs.getInfo()
+    return x, info.objective_function_value, np.array(solution.row_dual), info.simplex_iteration_count
 
 
 @dataclass(frozen=True)
@@ -105,8 +162,8 @@ class TransportLP:
     constrained mode; only the row bounds (the marginals) change between
     queries.  The cost is materialized and the column-wise constraint matrix
     built once, and handed to one HiGHS model that every ``solve`` reuses.
-    Each solve clears the solver first, so it starts cold from the same model
-    a one-shot ``linprog`` call would build and returns the same basic
+    Each solve clears the solver before it runs, so it starts cold from the
+    same model a one-shot ``linprog`` call would build and returns the same basic
     solution bit for bit.  Solves are serialized by a lock, so one instance
     may be shared across threads.  Without scipy's private HiGHS bindings,
     ``solve`` goes through ``linprog`` on the same matrix.
@@ -124,36 +181,14 @@ class TransportLP:
         self._c = C.materialize(cap).ravel()
         m = len(constrained)
         # CSC layout: column j holds row pos * n + j_i for each constrained mode i
-        self._indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
-        self._indices = (
-            all_index_tuples(n, k)[:, constrained] + n * np.arange(m)
-        ).ravel().astype(np.int32)
-        self._nrows = n * m
-        self._highs = None if _core is None else self._build_highs()
+        indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
+        indices = (all_index_tuples(n, k)[:, constrained] + n * np.arange(m)).ravel().astype(np.int32)
+        self._A = sp.csc_array((np.ones(indices.size), indices, indptr), shape=(n * m, total))
+        self._highs = None if _core is None else highs_model(
+            self._c, self._A, np.zeros(total), np.full(total, np.inf),
+            np.zeros(n * m), np.zeros(n * m), _TRANSPORT_OPTIONS, "transport LP",
+        )
         self._lock = threading.Lock()
-
-    def _build_highs(self):
-        total, nnz = self._c.size, self._indices.size
-        lp = _core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = total
-        lp.num_row_ = lp.a_matrix_.num_row_ = self._nrows
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.col_cost_ = self._c
-        lp.col_lower_ = np.zeros(total)
-        lp.col_upper_ = np.full(total, _core.kHighsInf)
-        lp.row_lower_ = lp.row_upper_ = np.zeros(self._nrows)
-        lp.a_matrix_.start_ = self._indptr
-        lp.a_matrix_.index_ = self._indices
-        lp.a_matrix_.value_ = np.ones(nnz)
-        options = _core.HighsOptions()
-        for key, val in _HIGHS_OPTIONS.items():
-            setattr(options, key, val)
-        highs = _core._Highs()
-        if highs.passOptions(options) == _core.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the transport LP options")
-        if highs.passModel(lp) == _core.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the transport LP model")
-        return highs
 
     def solve(self, spec: MarginalSpec) -> MotSolution:
         """Optimal value, basic coupling and dual potentials for ``spec``.
@@ -195,32 +230,13 @@ class TransportLP:
 
     def _solve_highs(self, b: np.ndarray):
         highs = self._highs
-        highs.clearSolver()
         for row, bound in enumerate(b.tolist()):
             highs.changeRowBounds(row, bound, bound)
-        highs.run()
-        model_status = highs.getModelStatus()
-        if model_status != _core.HighsModelStatus.kOptimal:
-            _raise_status(
-                _linprog_status(model_status),
-                f"HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)}",
-            )
-        solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        # linprog's post-check: a reported optimum must also be feasible
-        tol = _RESULT_TOL
-        if x.min() < -tol or np.abs(b - np.asarray(solution.row_value)).max() > tol:
-            _raise_status(4, f"solution violates the constraints by more than {tol:.2E}")
-        info = highs.getInfo()
-        return x, info.objective_function_value, np.array(solution.row_dual), info.simplex_iteration_count
+        return solve_highs(highs, 0.0, b, b, _raise_status)
 
     def _solve_linprog(self, b: np.ndarray):
-        A = sp.csc_matrix(
-            (np.ones(self._indices.size), self._indices, self._indptr),
-            shape=(self._nrows, self._c.size),
-        )
         res = linprog(
-            self._c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
+            self._c, A_eq=self._A, b_eq=b, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
         )
         if res.status != 0:
             _raise_status(res.status, res.message)

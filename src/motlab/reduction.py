@@ -19,11 +19,13 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from . import motsolve
 from .costs import CostOracle
 from .minsolve import MinResult, as_weights, min_objective_gap, weighted_objective
-from .motsolve import TransportLP
+from .motsolve import HIGHS_OPTIONS, TransportLP, highs_model, solve_highs
 from .tensors import CouplingTensor, MarginalSpec
 
 # Half-gaps at or below this are treated as numerically indistinct; exact
@@ -165,6 +167,7 @@ class EnvelopeMinimization:
     certified: bool
     iterations: int
     ub_history: tuple[float, ...]
+    lb_history: tuple[float, ...]
 
 
 def iteration_budget(c_max: float, p, n: int, k: int, target_gap: float) -> int:
@@ -176,6 +179,78 @@ def iteration_budget(c_max: float, p, n: int, k: int, target_gap: float) -> int:
     if L == 0.0:
         return 1
     return int(math.ceil((L * D / target_gap) ** 2))
+
+
+class CuttingPlaneMaster:
+    """The cutting-plane master LP: minimize t over mu in the product of k
+    simplices in R^n subject to t >= <g_s, mu> + b_s for every cut s.
+
+    Columns are t (free) and then mu flattened row-major; rows are the k
+    simplex equalities and then one -t + <g_s, mu> <= -b_s row per cut.  One
+    HiGHS model is built with the simplex rows, ``add_cut`` appends a row to
+    it, and every ``solve`` clears the solver before it runs, so a solution
+    depends only on the rows present and never on an earlier basis.  The
+    options are linprog(method="highs")'s.  Without scipy's private HiGHS
+    bindings, ``solve`` goes through ``linprog`` on the same rows.
+    """
+
+    def __init__(self, n: int, k: int):
+        dim = n * k
+        self.n, self.k = n, k
+        self._obj = np.zeros(dim + 1)
+        self._obj[0] = 1.0
+        self._A_eq = np.zeros((k, dim + 1))
+        for i in range(k):
+            self._A_eq[i, 1 + i * n : 1 + (i + 1) * n] = 1.0
+        self._col_lower = np.concatenate([[-np.inf], np.zeros(dim)])
+        self._g: list[np.ndarray] = []
+        self._b: list[float] = []
+        # read from the module at build time, so the fallback can be forced per model
+        self._highs = None if motsolve._core is None else highs_model(
+            self._obj, sp.csc_array(self._A_eq), self._col_lower, np.full(dim + 1, np.inf),
+            np.ones(k), np.ones(k), HIGHS_OPTIONS, "cutting-plane master LP",
+        )
+
+    def add_cut(self, g: np.ndarray, b: float) -> None:
+        """Add the cut t >= <g, mu> + b, with g flattened like mu."""
+        g = np.asarray(g, dtype=float)
+        self._g.append(g)
+        self._b.append(float(b))
+        if self._highs is not None:
+            cols = np.flatnonzero(g)
+            self._highs.addRow(
+                -np.inf, -float(b), cols.size + 1,
+                np.concatenate([[0], cols + 1]).astype(np.int32),
+                np.concatenate([[-1.0], g[cols]]),
+            )
+
+    def solve(self) -> tuple[float, np.ndarray]:
+        """The lower bound min t and a minimizing mu as a (k, n) array."""
+        b_ub = -np.array(self._b)
+        if self._highs is None:
+            res = linprog(
+                self._obj,
+                A_ub=np.column_stack([-np.ones(len(self._g)), np.array(self._g)]),
+                b_ub=b_ub, A_eq=self._A_eq, b_eq=np.ones(self.k),
+                bounds=[(None, None)] + [(0, None)] * (self.n * self.k),
+                method="highs",
+            )
+            if res.status != 0:
+                _master_failed(res.status, res.message)
+            x, fun = res.x, res.fun
+        else:
+            ones = np.ones(self.k)
+            x, fun, _, _ = solve_highs(
+                self._highs, self._col_lower,
+                np.concatenate([ones, np.full(b_ub.size, -np.inf)]),
+                np.concatenate([ones, b_ub]),
+                _master_failed,
+            )
+        return float(fun), x[1:].reshape(self.k, self.n)
+
+
+def _master_failed(status: int, message: str):
+    raise RuntimeError(f"cutting-plane master LP failed: {message}")
 
 
 def minimize_envelope_exact(
@@ -197,28 +272,23 @@ def minimize_envelope_exact(
     """
     if target_gap <= 0:
         raise ValueError("target_gap must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     if oracle.accuracy != 0.0 or not oracle.provides_duals:
         raise ValueError("the exact envelope path needs an exact oracle with duals")
+    if (n, k) != (oracle.n, oracle.k):
+        raise ValueError(
+            f"dimension mismatch between oracle (n={oracle.n}, k={oracle.k}) and envelope (n={n}, k={k})"
+        )
     p = as_weights(p, n, k)
     budget = min(max_iters, iteration_budget(oracle.c_max, p, n, k, target_gap))
 
-    dim = n * k
-    cut_g: list[np.ndarray] = []
-    cut_b: list[float] = []
-    # Master constraint blocks that do not change across iterations.
-    A_eq = np.zeros((k, dim + 1))
-    for i in range(k):
-        A_eq[i, 1 + i * n : 1 + (i + 1) * n] = 1.0
-    b_eq = np.ones(k)
-    obj = np.zeros(dim + 1)
-    obj[0] = 1.0
-    bounds = [(None, None)] + [(0, None)] * dim
-
+    master = CuttingPlaneMaster(n, k)
     mu = np.full((k, n), 1.0 / n)
     best_mu = mu
     best_val = math.inf
-    lower = -math.inf
     history = []
+    lb_history = []
     certified = False
     it = 0
     while it < budget:
@@ -229,22 +299,13 @@ def minimize_envelope_exact(
             best_mu = mu
         history.append(best_val)
         g = point.subgradient.ravel()
-        cut_g.append(g)
-        cut_b.append(point.value - float(g @ mu.ravel()))
-
-        A_ub = np.column_stack([-np.ones(len(cut_g)), np.array(cut_g)])
-        b_ub = -np.array(cut_b)
-        res = linprog(
-            obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(f"cutting-plane master LP failed: {res.message}")
-        lower = float(res.fun)
+        master.add_cut(g, point.value - float(g @ mu.ravel()))
+        lower, x = master.solve()
+        lb_history.append(lower)
         if best_val - lower <= target_gap:
             certified = True
             break
-        mu = _normalized_rows(res.x[1:].reshape(k, n))
+        mu = _normalized_rows(x)
 
     return EnvelopeMinimization(
         mu=best_mu,
@@ -253,6 +314,7 @@ def minimize_envelope_exact(
         certified=certified,
         iterations=it,
         ub_history=tuple(history),
+        lb_history=tuple(lb_history),
     )
 
 

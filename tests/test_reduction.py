@@ -22,6 +22,7 @@ from motlab import (
     min_via_mot_approx,
     min_via_mot_exact,
     minimize_envelope_exact,
+    motsolve,
     purify,
     reduction,
     solve_lp,
@@ -280,3 +281,140 @@ def test_exact_oracle_reuses_one_model_per_constrained_set(monkeypatch):
         assert all(_same_answer(ans, sol) for ans, sol in zip(slot, expected))
     assert oracle.queries == 6 + 4 * len(specs)
     assert built == [(0, 1, 2), (0, 2)]
+
+
+def test_minimize_envelope_rejects_max_iters_below_one():
+    C = DenseCost(np.arange(4.0).reshape(2, 2))
+    oracle = MotOracle.exact_lp(C)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            minimize_envelope_exact(oracle, None, 2, 2, max_iters=bad)
+    assert oracle.queries == 0
+    with pytest.raises(ValueError, match="max_iters"):
+        min_via_mot_exact(C, max_iters=0)
+
+
+def test_minimize_envelope_checks_dimensions_before_querying():
+    rng = np.random.default_rng(42)
+    oracle = MotOracle.exact_lp(random_cost(rng, "dense", 3, 3))
+    for n, k in ((3, 4), (4, 3), (3, 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            minimize_envelope_exact(oracle, None, n, k)
+    assert oracle.queries == 0
+
+
+def test_minimize_envelope_lower_bound_history():
+    rng = np.random.default_rng(43)
+    C = random_cost(rng, "dense", 3, 3)
+    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)), 3, 3)
+    lb, ub = np.array(em.lb_history), np.array(em.ub_history)
+    assert em.certified and em.iterations > 2
+    assert len(lb) == len(ub) == em.iterations
+    assert np.all(np.diff(lb) >= -1e-9)
+    assert np.all(lb <= ub + 1e-9)
+    assert lb[-1] == em.lower_bound
+
+
+def _oracle_cuts(rng, family, n, k, count):
+    """Cuts t >= <g, mu> + b from exact oracle answers at random points."""
+    C = random_cost(rng, family, n, k)
+    p = rng.normal(size=(k, n))
+    oracle = MotOracle.exact_lp(C)
+    cuts = []
+    for _ in range(count):
+        mu = np.stack(random_marginals(rng, n, k))
+        point = envelope_value(oracle, p, MarginalSpec.fully_fixed(list(mu)))
+        g = point.subgradient.ravel()
+        cuts.append((g, point.value - float(g @ mu.ravel())))
+    return cuts
+
+
+def _master_bounds(n, k, cuts):
+    master = reduction.CuttingPlaneMaster(n, k)
+    answers = []
+    for g, b in cuts:
+        master.add_cut(g, b)
+        answers.append(master.solve())
+    return answers
+
+
+class _RecordedModel:
+    """Passes every attribute through to a HiGHS model and logs its name."""
+
+    def __init__(self, highs, calls):
+        self._highs, self._calls = highs, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._highs, name)
+
+
+def test_master_model_is_cold_started_and_built_once(monkeypatch):
+    rng = np.random.default_rng(44)
+    cuts = _oracle_cuts(rng, "pairwise", 3, 3, 10)
+    incremental = _master_bounds(3, 3, cuts)
+    for s, (lower, mu) in enumerate(incremental):
+        fresh_lower, fresh_mu = _master_bounds(3, 3, cuts[: s + 1])[-1]
+        assert lower == fresh_lower and np.array_equal(mu, fresh_mu)
+        assert np.allclose(mu.sum(axis=1), 1.0) and mu.min() >= -1e-9
+
+    models = []
+    real_model = reduction.highs_model
+
+    def recorded_model(*args, **kwargs):
+        models.append([])
+        return _RecordedModel(real_model(*args, **kwargs), models[-1])
+
+    monkeypatch.setattr(reduction, "highs_model", recorded_model)
+    C = random_cost(rng, "dense", 3, 3)
+    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)), 3, 3)
+    assert em.iterations > 2 and len(models) == 1
+    calls = models[0]
+    runs = [i for i, name in enumerate(calls) if name == "run"]
+    assert len(runs) == calls.count("addRow") == em.iterations
+    assert all(calls[i - 1] == "clearSolver" for i in runs)
+
+
+FALLBACK_CORPUS = [
+    (family, n, k)
+    for family in ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
+                   "log_determinant", "coulomb", "coulomb_buckingham")
+    for n, k in ((2, 3), (3, 2), (3, 3))
+] + [(family, 2, k) for family in ("set_function", "two_sat") for k in (2, 3, 4)]
+
+
+def test_master_fallback_matches_highs_path(monkeypatch):
+    rng = np.random.default_rng(45)
+    cut_sets = [(n, k, _oracle_cuts(rng, family, n, k, 8))
+                for family, n, k in (("dense", 3, 3), ("two_sat", 2, 4), ("coulomb", 3, 2))]
+    instances = []
+    for family, n, k in FALLBACK_CORPUS:
+        C = random_cost(rng, family, n, k)
+        instances.append((family, C, rng.normal(size=(k, n)) if rng.random() < 0.5 else None))
+    real_linprog = reduction.linprog
+    linprog_calls = []
+
+    def counted_linprog(*args, **kwargs):
+        linprog_calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "linprog", counted_linprog)
+
+    def run_all():
+        bounds = [[lower for lower, _ in _master_bounds(n, k, cuts)] for n, k, cuts in cut_sets]
+        return bounds, [min_via_mot_exact(C, p) for _, C, p in instances]
+
+    highs_bounds, highs_results = run_all()
+    assert linprog_calls == []
+    monkeypatch.setattr(motsolve, "_core", None)
+    fallback_bounds, fallback_results = run_all()
+    assert len(linprog_calls) >= sum(len(cuts) for _, _, cuts in cut_sets)
+    for a, b in zip(highs_bounds, fallback_bounds):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+    for (family, C, p), *results in zip(instances, highs_results, fallback_results):
+        brute = min_bruteforce(C, p)
+        tol = 0.0 if family in ("two_sat", "dense_integer") else 1e-6
+        for res in results:
+            assert abs(res.value - brute.value) <= tol, family
+            attained = float(weighted_objective(C, p, np.asarray([res.witness]))[0])
+            assert abs(attained - brute.value) <= tol, family
