@@ -26,11 +26,18 @@ from .tensors import (
     all_index_tuples,
     along,
     check_cap,
+    mode_sum,
     others,
 )
 
 # LP entries below this are treated as outside the basic support.
 _SUPPORT_EPS = 1e-12
+
+# Sinkhorn sums a slice of exp(log_P) directly only while the sum is at least
+# this.  Each exp landing below the smallest normal double, 2^-1022, is off by
+# at most 2^-1074, and a slice holds fewer than 2^53 entries, so underflow
+# costs the sum less than 2^-1021: under half an ulp of any sum >= 2^-968.
+_SLICE_SUM_FLOOR = 2.0**-968
 
 _LP_OPTIONS = {
     "presolve": True,
@@ -40,7 +47,7 @@ _LP_OPTIONS = {
 
 # What linprog(method="highs") hands HiGHS with its default arguments:
 # presolve on, dual simplex strategy, HiGHS's own tolerances; logging off.
-HIGHS_OPTIONS = {
+_LINPROG_SETTINGS = {
     "presolve": "on",
     "simplex_strategy": 1,  # dual simplex
     "output_flag": False,
@@ -48,8 +55,8 @@ HIGHS_OPTIONS = {
 }
 
 # The transport LP as method="highs-ds" sets it up from _LP_OPTIONS.
-_TRANSPORT_OPTIONS = {
-    **HIGHS_OPTIONS,
+_TRANSPORT_SETTINGS = {
+    **_LINPROG_SETTINGS,
     "solver": "simplex",
     "primal_feasibility_tolerance": _LP_OPTIONS["primal_feasibility_tolerance"],
     "dual_feasibility_tolerance": _LP_OPTIONS["dual_feasibility_tolerance"],
@@ -66,10 +73,22 @@ except (ImportError, AttributeError):
     _core = None
 
 
+def _highs_options(settings: dict):
+    options = _core.HighsOptions()
+    for key, val in settings.items():
+        setattr(options, key, val)
+    return options
+
+
+# Built once and shared: passOptions copies them into each model.
+HIGHS_OPTIONS = None if _core is None else _highs_options(_LINPROG_SETTINGS)
+_TRANSPORT_OPTIONS = None if _core is None else _highs_options(_TRANSPORT_SETTINGS)
+
+
 def highs_model(c, A, col_lower, col_upper, row_lower, row_upper, options, what: str):
     """A HiGHS model of min c.x subject to row_lower <= A x <= row_upper and
-    col_lower <= x <= col_upper, with ``options`` set; ``A`` is a CSC matrix
-    with int32 indices and ``what`` names the LP in error messages."""
+    col_lower <= x <= col_upper, with the prebuilt ``options`` passed; ``A`` is
+    a CSC matrix with int32 indices and ``what`` names the LP in error messages."""
     lp = _core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
@@ -80,11 +99,8 @@ def highs_model(c, A, col_lower, col_upper, row_lower, row_upper, options, what:
     lp.a_matrix_.start_ = A.indptr
     lp.a_matrix_.index_ = A.indices
     lp.a_matrix_.value_ = A.data
-    highs_options = _core.HighsOptions()
-    for key, val in options.items():
-        setattr(highs_options, key, val)
     highs = _core._Highs()
-    if highs.passOptions(highs_options) == _core.HighsStatus.kError:
+    if highs.passOptions(options) == _core.HighsStatus.kError:
         raise RuntimeError(f"HiGHS rejected the {what} options")
     if highs.passModel(lp) == _core.HighsStatus.kError:
         raise RuntimeError(f"HiGHS rejected the {what} model")
@@ -144,10 +160,12 @@ class SinkhornConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 def suggest_eta(n: int, k: int, value_gap: float) -> float:
@@ -285,6 +303,13 @@ def sinkhorn(
     error falls under ``cfg.tol``.  The reported value is the entropically
     regularized objective <P, C> - H(P)/eta of the final coupling; callers
     wanting exact feasibility compose with ``round_to_polytope``.
+
+    The log-iterate log_P is carried next to P = exp(log_P).  Its maximum is
+    0 at the start and every update leaves total mass 1, so log_P <= 0 and
+    exp never overflows; a mode's log-marginal is then the log of a plain
+    sum of P, unless a slice sum with a positive target falls under
+    ``_SLICE_SUM_FLOOR``, where that mode takes the max-shifted
+    ``logsumexp`` of log_P instead.
     """
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
@@ -300,12 +325,13 @@ def sinkhorn(
 
     def marginal_gap(P):
         return sum(
-            float(np.abs(P.sum(axis=others(i, k)) - mu).sum())
+            float(np.abs(mode_sum(P, i) - mu).sum())
             for i, mu in zip(spec.constrained, spec.marginals)
         )
 
-    best_P = np.exp(log_P)
-    best_err = marginal_gap(best_P)
+    P = np.exp(log_P)
+    best_P = P.copy()
+    best_err = marginal_gap(P)
     converged = best_err <= cfg.tol
     cycles = 0
     with np.errstate(divide="ignore"):
@@ -315,15 +341,20 @@ def sinkhorn(
     while not converged and cycles < cfg.max_iters:
         cycles += 1
         for i in spec.constrained:
-            log_m = logsumexp(log_P, axis=others(i, k))
-            with np.errstate(invalid="ignore"):
+            m = mode_sum(P, i)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if m[np.isfinite(log_mu[i])].min() >= _SLICE_SUM_FLOOR:
+                    log_m = np.log(m)
+                else:
+                    log_m = logsumexp(log_P, axis=others(i, k))
                 step = log_mu[i] - log_m
             # a zero marginal entry pins its slice at -inf, where -inf - -inf is nan
             log_P += along(np.where(np.isneginf(log_mu[i]), -np.inf, step), i, k)
-        P = np.exp(log_P)
+            np.exp(log_P, out=P)
         err = marginal_gap(P)
         if err < best_err:
-            best_P, best_err = P, err
+            np.copyto(best_P, P)
+            best_err = err
         if err <= cfg.tol:
             converged = True
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from motlab import CnfFormula, KPartiteGraph, MarginalSpec, UndirectedGraph
-from motlab.cli import main
+from motlab import cli
+from motlab.cli import EXIT_SCHEMA, main
 from motlab.corpus import random_cost, random_marginals
 from motlab.costs import LowRankCost
 from motlab.formats import save_instance, write_cnf, write_graph, write_kpartite
@@ -97,6 +98,16 @@ def test_exit_schema_violation(tmp_path):
     path = tmp_path / "nomu.json"
     save_instance(path, C)
     assert main(["solve-mot", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--tol", "nan"), ("--max-iters", "0")])
+def test_solve_mot_rejects_bad_sinkhorn_settings(perm_instance, flag, value, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran Sinkhorn with settings it must reject")
+
+    monkeypatch.setattr(cli, "sinkhorn", fail)
+    argv = ["solve-mot", str(perm_instance), "--backend", "sinkhorn", flag, value]
+    assert main(argv) == EXIT_SCHEMA
 
 
 def test_exit_cap_exceeded(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -174,6 +175,33 @@ def test_highs_model_matches_linprog_fallback_bitwise(monkeypatch):
     assert mismatched == []
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_highs_options_are_built_once_and_copied_into_each_model(monkeypatch):
+    option_builds = _count_calls(monkeypatch, motsolve._core, "HighsOptions")
+    C = random_cost(np.random.default_rng(33), "dense", 3, 3)
+    models = [TransportLP(C, range(3))._highs for _ in range(2)]
+    assert option_builds == []
+    for highs in models:
+        options = highs.getOptions()
+        for key, val in motsolve._TRANSPORT_SETTINGS.items():
+            assert getattr(options, key) == val
+    # passOptions copies: a later change to the shared object leaves built models alone
+    monkeypatch.setattr(motsolve._TRANSPORT_OPTIONS, "presolve", "off")
+    assert models[0].getOptions().presolve == "on"
+
+
 def test_transport_lp_reuse_matches_one_shot_solves():
     rng = np.random.default_rng(32)
     C = random_cost(rng, "two_sat", 2, 4)
@@ -262,6 +290,74 @@ def test_sinkhorn_handles_zero_marginal_entries():
     P = sol.coupling.to_dense()
     assert np.all(P[1] == 0.0) and np.all(P[:, :, 2] == 0.0)
     assert is_coupling(sol.coupling, spec, 1e-9)
+
+
+SINKHORN_CORPUS = [
+    (family, eta, n, k)
+    for (family, eta), (n, k) in zip(
+        itertools.product(("dense", "pairwise", "low_rank"), (1.0, 10.0, 100.0)),
+        [(2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 2), (2, 3), (3, 4), (4, 3)],
+    )
+]
+
+
+def _same_sinkhorn_solution(a, b):
+    return (
+        (a.iterations, a.converged) == (b.iterations, b.converged)
+        and math.isclose(a.value, b.value, rel_tol=1e-12)
+        and np.abs(a.coupling.to_dense() - b.coupling.to_dense()).max() <= 1e-12
+    )
+
+
+def test_sinkhorn_fast_path_matches_logsumexp_fallback(monkeypatch):
+    rng = np.random.default_rng(41)
+    cases = [
+        (random_cost(rng, family, n, k), spec, SinkhornConfig(eta=eta, tol=1e-9, max_iters=300))
+        for family, eta, n, k in SINKHORN_CORPUS
+        for spec in _lp_specs(rng, n, k)
+    ]
+    lse_calls = _count_calls(monkeypatch, motsolve, "logsumexp")
+    fast = [sinkhorn(C, spec, cfg) for C, spec, cfg in cases]
+    assert lse_calls == []
+    monkeypatch.setattr(motsolve, "_SLICE_SUM_FLOOR", np.inf)  # every mode update falls back
+    reference = [sinkhorn(C, spec, cfg) for C, spec, cfg in cases]
+    assert len(lse_calls) == sum(
+        sol.iterations * len(spec.constrained) for sol, (_, spec, _) in zip(reference, cases)
+    )
+    mismatched = [i for i, (a, b) in enumerate(zip(fast, reference)) if not _same_sinkhorn_solution(a, b)]
+    assert mismatched == []
+
+
+def test_sinkhorn_underflowing_slice_falls_back(monkeypatch):
+    C = DenseCost(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    cfg = SinkhornConfig(eta=1000.0, max_iters=50)
+    # exp(-1000) underflows, so row 1 of the first iterate sums to 0 while its target is 0.5
+    assert np.exp(-1000.0) == 0.0
+    lse_calls = _count_calls(monkeypatch, motsolve, "logsumexp")
+    sol = sinkhorn(C, HALF, cfg)
+    assert 0 < len(lse_calls) < 2 * sol.iterations
+    assert not np.isnan(sol.coupling.to_dense()).any()
+    assert math.isfinite(sol.value) and sol.marginal_error < 0.02  # not stuck at the first iterate
+    monkeypatch.setattr(motsolve, "_SLICE_SUM_FLOOR", np.inf)
+    assert _same_sinkhorn_solution(sol, sinkhorn(C, HALF, cfg))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"eta": math.nan},
+        {"eta": math.inf},
+        {"eta": 0.0},
+        {"eta": 1.0, "tol": math.nan},
+        {"eta": 1.0, "tol": math.inf},
+        {"eta": 1.0, "tol": 0.0},
+        {"eta": 1.0, "max_iters": 0},
+        {"eta": 1.0, "max_iters": -5},
+    ],
+)
+def test_sinkhorn_config_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        SinkhornConfig(**settings)
 
 
 def test_suggest_eta_inverts_entropy_bound():

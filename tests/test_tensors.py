@@ -15,7 +15,7 @@ from motlab import (
     round_to_polytope,
 )
 from motlab.corpus import random_dense, random_marginals
-from motlab.tensors import marginal_matrix
+from motlab.tensors import marginal_matrix, mode_sum, others
 
 
 def random_sparse_coupling(rng, n, k, m):
@@ -203,3 +203,17 @@ def test_marginal_matrix_shape():
     M = marginal_matrix(P)
     assert M.shape == (2, 3)
     assert np.allclose(M[1], [0, 0, 1])
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (5, 1), (2, 10), (7, 6), (3, 3)])
+def test_mode_sum_matches_axis_sum(n, k):
+    rng = np.random.default_rng(n * 100 + k)
+    arrays = [rng.random((n,) * k)]
+    if n > 1:  # zero-padded: the last slice of every mode is empty
+        arrays.append(np.pad(rng.random((n - 1,) * k), [(0, 1)] * k))
+    for arr in arrays:
+        for i in range(k):
+            ref = arr.sum(axis=others(i, k))
+            got = mode_sum(arr, i)
+            assert got.shape == (n,)
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
