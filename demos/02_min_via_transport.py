@@ -4,7 +4,8 @@
 The weighted objective f(j) = C_j - sum_i p[i][j_i] extends to marginals as
 F(mu) = -<p, mu> + MOT_C(mu), which is the convex envelope of f: minimizing
 the envelope over the product simplex and reading a witness off the optimal
-coupling's support recovers the exact discrete minimum.
+coupling's support recovers the exact discrete minimum, with the gap to the
+cutting plane's lower bound as its certificate.
 
 Run: python3 demos/02_min_via_transport.py
 """
@@ -39,11 +40,12 @@ print("envelope at a vertex equals the raw objective:")
 print(f"  F(point mass)  = {envelope_value(oracle, p, vertex).value:.6f}")
 print(f"  f(1,2,0)       = {C.evaluate((1, 2, 0)) - p[0][1] - p[1][2] - p[2][0]:.6f}")
 
-em = minimize_envelope_exact(oracle, p, n, k, target_gap=1e-7)
+em = minimize_envelope_exact(oracle, p, target_gap=1e-7)
 print(f"\ncutting-plane envelope minimization: {em.iterations} oracle queries")
 print(f"  best F {em.value:.8f}, certified lower bound {em.lower_bound:.8f}")
-res = purify(oracle, C, p, em.mu)
-print(f"  purified witness {res.witness} with f = {res.value:.8f}")
+res = purify(C, p, em.coupling)  # the coupling of the best query: no re-query
+print(f"  purified witness {res.witness} with f = {res.value:.8f}, "
+      f"certified gap {res.value - em.lower_bound:.1e}")
 print(f"  brute force      {min_bruteforce(C, p).witness} with f = {min_bruteforce(C, p).value:.8f}")
 
 # --- the width-2 CNF dichotomy ---------------------------------------------

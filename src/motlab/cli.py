@@ -124,7 +124,7 @@ def _run_solve_min(args) -> tuple[int, dict]:
             value=res.value,
             witness=[j + 1 for j in res.witness],
             queries=res.queries,
-            approximate=res.approximate,
+            gap=res.gap,
         )
     elif args.via == "mot-approx":
         oracle = MotOracle.noisy_lp(inst.cost, eps=args.eps, seed=args.seed)

@@ -173,6 +173,16 @@ class PairwiseCost(CostOracle):
             out += g[J[:, i], J[:, i2]]
         return out
 
+    def materialize(self, cap=None):
+        # tables added in evaluate_batch's order, so entries match it bitwise
+        check_cap(self.n, self.k, cap)
+        out = np.zeros((self.n,) * self.k)
+        for (i, i2), g in self.tables.items():
+            shape = [1] * self.k
+            shape[i] = shape[i2] = self.n
+            out += g.reshape(shape)
+        return out
+
     def upper_bound(self) -> float:
         return float(sum(np.abs(g).max() for g in self.tables.values()))
 

@@ -21,12 +21,13 @@ from .tensors import along, check_cap
 
 @dataclass(frozen=True)
 class MinResult:
-    """Minimum value and a witness tuple; value = f(witness) for the solved objective."""
+    """Minimum value and a witness tuple; value = f(witness) for the solved objective,
+    and value - min f <= gap (0 from the exact solvers here)."""
 
     value: float
     witness: tuple[int, ...]
     queries: int = 0
-    approximate: bool = False
+    gap: float = 0.0
 
 
 def as_weights(p, n: int, k: int) -> np.ndarray:

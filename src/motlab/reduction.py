@@ -4,12 +4,13 @@ For a cost C and weights p, the weighted objective f(j) = C_j - sum_i p[i][j_i]
 extends to the product of simplices as F(mu) = -sum_i <p_i, mu_i> + MOT_C(mu),
 and F is the convex envelope of f: its minimum over marginals equals the
 discrete minimum, and optimal dual potentials of the transport LP give
-subgradients.  The exact path minimizes F with a cutting-plane method whose
-upper/lower bounds certify the gap, then recovers a discrete witness from the
-support of an optimal coupling ("purification": once the envelope gap is
-below half the spacing between distinct objective values, the best support
-tuple is an exact minimizer).  The approximate path works with a noisy value
-oracle and uses simulated annealing over the product simplex instead.
+subgradients.  The exact path, which uses only oracle answers, minimizes F
+with a cutting-plane method whose master LP bounds the minimum below by L,
+then reads a witness of value U off the support of the optimal coupling at the
+best query ("purification"); L <= min f <= U, and once U - L is below the
+spacing between distinct objective values the witness is exact.  The
+approximate path works with a noisy value oracle and uses simulated annealing
+over the product simplex instead.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from scipy.optimize import linprog
 
 from . import motsolve
 from .costs import CostOracle
-from .minsolve import MinResult, as_weights, min_objective_gap, weighted_objective
+from .minsolve import MinResult, as_weights, weighted_objective
 from .motsolve import HIGHS_OPTIONS, TransportLP, highs_model, solve_highs
 from .tensors import CouplingTensor, MarginalSpec
-
-# Half-gaps at or below this are treated as numerically indistinct; exact
-# purification is not claimed and results are flagged approximate.
-HALF_GAP_FLOOR = 1e-9
 
 DEFAULT_TARGET_GAP = 1e-6
 
@@ -50,7 +47,7 @@ class MotOracle:
     """
 
     def __init__(self, fn, n: int, k: int, accuracy: float, c_max: float,
-                 provides_duals: bool, provides_coupling: bool):
+                 provides_duals: bool):
         if accuracy == 0.0 and not provides_duals:
             raise ValueError("an exact oracle must supply dual potentials")
         self._fn = fn
@@ -59,7 +56,6 @@ class MotOracle:
         self.accuracy = float(accuracy)
         self.c_max = float(c_max)
         self.provides_duals = provides_duals
-        self.provides_coupling = provides_coupling
         self.queries = 0
         self._lock = threading.Lock()
 
@@ -76,7 +72,7 @@ class MotOracle:
             sol = solve(spec)
             return OracleAnswer(value=sol.value, duals=sol.duals.p, coupling=sol.coupling)
 
-        return cls(fn, C.n, C.k, 0.0, C.upper_bound(), True, True)
+        return cls(fn, C.n, C.k, 0.0, C.upper_bound(), True)
 
     @classmethod
     def noisy_lp(cls, C: CostOracle, eps: float, seed=None, cap: int | None = None) -> "MotOracle":
@@ -91,7 +87,7 @@ class MotOracle:
                 noise = rng.uniform(-eps, eps)
             return OracleAnswer(value=sol.value + noise)
 
-        return cls(fn, C.n, C.k, eps, C.upper_bound(), False, False)
+        return cls(fn, C.n, C.k, eps, C.upper_bound(), False)
 
 
 def _lp_solver(C: CostOracle, cap: int | None):
@@ -115,10 +111,11 @@ class EnvelopePoint:
     mu: MarginalSpec
     value: float
     subgradient: np.ndarray | None
+    coupling: CouplingTensor | None
 
 
 def envelope_value(oracle: MotOracle, p, mu: MarginalSpec) -> EnvelopePoint:
-    """F(mu) = -sum_i <p_i, mu_i> + oracle value, with subgradient when available.
+    """F(mu) = -sum_i <p_i, mu_i> + oracle value, with subgradient and coupling when available.
 
     The transport value is the maximum of linear functions <., mu> over dual
     feasible potentials, so optimal potentials minus p form a subgradient of F.
@@ -132,7 +129,7 @@ def envelope_value(oracle: MotOracle, p, mu: MarginalSpec) -> EnvelopePoint:
     dots = np.array([p[i] @ mu.marginals[i] for i in range(mu.k)])
     value = float(ans.value - dots.sum())
     sub = ans.duals - p if ans.duals is not None else None
-    return EnvelopePoint(mu=mu, value=value, subgradient=sub)
+    return EnvelopePoint(mu=mu, value=value, subgradient=sub, coupling=ans.coupling)
 
 
 def lipschitz_bound(C: CostOracle) -> float:
@@ -161,7 +158,10 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnvelopeMinimization:
+    """The best query point mu, its value and optimal coupling, and the lower bound."""
+
     mu: np.ndarray
+    coupling: CouplingTensor | None
     value: float
     lower_bound: float
     certified: bool
@@ -256,8 +256,6 @@ def _master_failed(status: int, message: str):
 def minimize_envelope_exact(
     oracle: MotOracle,
     p,
-    n: int,
-    k: int,
     target_gap: float = DEFAULT_TARGET_GAP,
     max_iters: int = 600,
 ) -> EnvelopeMinimization:
@@ -268,7 +266,7 @@ def minimize_envelope_exact(
     product simplex, giving both the next query point and a certified lower
     bound.  Terminates once best-seen value minus lower bound is within
     ``target_gap``; exhausting the iteration budget returns the best iterate
-    flagged uncertified.
+    flagged uncertified.  The dimensions are the oracle's.
     """
     if target_gap <= 0:
         raise ValueError("target_gap must be positive")
@@ -276,16 +274,14 @@ def minimize_envelope_exact(
         raise ValueError("max_iters must be at least 1")
     if oracle.accuracy != 0.0 or not oracle.provides_duals:
         raise ValueError("the exact envelope path needs an exact oracle with duals")
-    if (n, k) != (oracle.n, oracle.k):
-        raise ValueError(
-            f"dimension mismatch between oracle (n={oracle.n}, k={oracle.k}) and envelope (n={n}, k={k})"
-        )
+    n, k = oracle.n, oracle.k
     p = as_weights(p, n, k)
     budget = min(max_iters, iteration_budget(oracle.c_max, p, n, k, target_gap))
 
     master = CuttingPlaneMaster(n, k)
     mu = np.full((k, n), 1.0 / n)
     best_mu = mu
+    best_coupling = None
     best_val = math.inf
     history = []
     lb_history = []
@@ -297,6 +293,7 @@ def minimize_envelope_exact(
         if point.value < best_val:
             best_val = point.value
             best_mu = mu
+            best_coupling = point.coupling
         history.append(best_val)
         g = point.subgradient.ravel()
         master.add_cut(g, point.value - float(g @ mu.ravel()))
@@ -309,6 +306,7 @@ def minimize_envelope_exact(
 
     return EnvelopeMinimization(
         mu=best_mu,
+        coupling=best_coupling,
         value=best_val,
         lower_bound=lower,
         certified=certified,
@@ -318,19 +316,17 @@ def minimize_envelope_exact(
     )
 
 
-def purify(oracle: MotOracle, C: CostOracle, p, mu: np.ndarray) -> MinResult:
-    """Best weighted-objective tuple in the support of an optimal coupling at mu.
+def purify(C: CostOracle, p, coupling: CouplingTensor) -> MinResult:
+    """Best weighted-objective tuple in the support of an optimal coupling.
 
-    The coupling's expected objective equals F(mu), so the support minimum is
-    sandwiched between the discrete minimum and F(mu); whenever the envelope
-    gap at mu is below the spacing of distinct objective values this pins the
-    exact discrete minimum.
+    The coupling's expected objective equals F at its marginals mu, so the
+    support minimum is sandwiched between the discrete minimum and F(mu);
+    whenever the envelope gap at mu is below the spacing of distinct
+    objective values this pins the exact discrete minimum.
     """
-    if not oracle.provides_coupling:
-        raise ValueError("purification needs an oracle that returns couplings")
-    spec = MarginalSpec.fully_fixed(list(np.asarray(mu, dtype=float)))
-    ans = oracle.query(spec)
-    idx, _ = ans.coupling.support()
+    if coupling is None:
+        raise ValueError("purification needs the optimal coupling the oracle returned")
+    idx, _ = coupling.support()
     if len(idx) == 0:
         raise RuntimeError("optimal coupling has empty support (internal error)")
     vals = weighted_objective(C, p, idx)
@@ -343,38 +339,25 @@ def min_via_mot_exact(
     C: CostOracle,
     p=None,
     cap: int | None = None,
-    target_gap: float | None = None,
+    target_gap: float = DEFAULT_TARGET_GAP,
     max_iters: int = 600,
 ) -> MinResult:
     """End-to-end exact tuple minimization through the transport oracle.
 
-    Minimizes the envelope to below half the minimum objective spacing (or
-    the default gap when spacing is unresolvable in doubles, in which case
-    the result is flagged approximate), then purifies a witness from the
-    optimal coupling's support.
+    Purifies the optimal coupling at the best query of the cutting-plane
+    run.  ``gap`` is the witness value minus the master lower bound, so
+    value - gap <= min f <= value (unclamped: roundoff can make it slightly
+    negative); the witness is exact when gap is below the objective spacing.
     """
     p = as_weights(p, C.n, C.k)
-    approximate = False
-    if target_gap is None:
-        gap = min_objective_gap(C, p, cap)
-        if math.isinf(gap):
-            target_gap = DEFAULT_TARGET_GAP
-        else:
-            half = gap / 2.0
-            if half > HALF_GAP_FLOOR:
-                target_gap = min(DEFAULT_TARGET_GAP, half)
-            else:
-                target_gap = DEFAULT_TARGET_GAP
-                approximate = True
-
     oracle = MotOracle.exact_lp(C, cap=cap)
-    em = minimize_envelope_exact(oracle, p, C.n, C.k, target_gap=target_gap, max_iters=max_iters)
-    res = purify(oracle, C, p, em.mu)
+    em = minimize_envelope_exact(oracle, p, target_gap=target_gap, max_iters=max_iters)
+    res = purify(C, p, em.coupling)
     return MinResult(
         value=res.value,
         witness=res.witness,
         queries=oracle.queries,
-        approximate=approximate or not em.certified,
+        gap=res.value - em.lower_bound,
     )
 
 

@@ -72,6 +72,8 @@ def test_solve_min_vias_agree(perm_instance, tmp_path):
     assert vals["bruteforce"]["value"] == vals["mot-exact"]["value"]
     assert vals["bruteforce"]["witness"] == vals["mot-exact"]["witness"]
     assert vals["mot-exact"]["queries"] > 0
+    assert abs(vals["mot-exact"]["gap"]) <= 1e-6
+    assert "approximate" not in vals["mot-exact"]
 
 
 def test_solve_min_approx_reports_trials(perm_instance, tmp_path):

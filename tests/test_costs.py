@@ -22,6 +22,7 @@ from motlab import (
     is_supermodular,
 )
 from motlab.corpus import random_cost, random_kpartite
+from motlab.costs import CostOracle
 from motlab.tensors import CapExceededError
 
 TRIANGLE = KPartiteGraph(
@@ -89,6 +90,18 @@ def test_materialize_zero_pairwise():
         n=2, k=3, tables={(i, j): np.zeros((2, 2)) for i in range(3) for j in range(i + 1, 3)}
     )
     assert np.allclose(C.materialize(), 0.0)
+
+
+def test_pairwise_materialize_matches_enumeration():
+    rng = np.random.default_rng(46)
+    for n in (1, 2, 3, 7):
+        for k in (2, 3, 6):
+            C = random_cost(rng, "pairwise", n, k)
+            got, want = C.materialize(), CostOracle.materialize(C)
+            assert got.shape == want.shape == (n,) * k
+            assert np.array_equal(got, want)
+    with pytest.raises(CapExceededError):
+        C.materialize(cap=7**6 - 1)
 
 
 def test_materialize_cap():

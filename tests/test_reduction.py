@@ -22,6 +22,7 @@ from motlab import (
     min_via_mot_approx,
     min_via_mot_exact,
     minimize_envelope_exact,
+    minsolve,
     motsolve,
     purify,
     reduction,
@@ -83,7 +84,7 @@ def test_subgradient_inequality_random_pairs():
 def test_minimize_envelope_constant_cost():
     C = DenseCost(np.full((2, 2), 1.75))
     oracle = MotOracle.exact_lp(C)
-    em = minimize_envelope_exact(oracle, None, 2, 2)
+    em = minimize_envelope_exact(oracle, None)
     assert em.certified
     assert math.isclose(em.value, 1.75, rel_tol=1e-9)
 
@@ -92,7 +93,7 @@ def test_minimize_envelope_monotone_descent():
     rng = np.random.default_rng(3)
     C = random_cost(rng, "dense", 3, 3)
     oracle = MotOracle.exact_lp(C)
-    em = minimize_envelope_exact(oracle, None, 3, 3)
+    em = minimize_envelope_exact(oracle, None)
     hist = np.array(em.ub_history)
     assert np.all(np.diff(hist) <= 1e-15)
     assert em.certified
@@ -103,12 +104,13 @@ def test_purify_point_mass():
     rng = np.random.default_rng(4)
     C = random_cost(rng, "dense", 3, 2)
     oracle = MotOracle.exact_lp(C)
-    mu = np.zeros((2, 3))
-    mu[0, 1] = 1.0
-    mu[1, 2] = 1.0
-    res = purify(oracle, C, None, mu)
+    coupling = oracle.query(MarginalSpec.point_masses(3, (1, 2))).coupling
+    res = purify(C, None, coupling)
     assert res.witness == (1, 2)
     assert res.value == C.evaluate((1, 2))
+    assert oracle.queries == 1
+    with pytest.raises(ValueError, match="coupling"):
+        purify(C, None, None)
 
 
 def test_exact_reduction_twosat_and_dual_weights():
@@ -118,8 +120,67 @@ def test_exact_reduction_twosat_and_dual_weights():
     res = min_via_mot_exact(C, p)
     assert math.isclose(res.value, -0.75, abs_tol=1e-12)
     assert res.witness in ((0, 1), (1, 0))
-    assert not res.approximate
+    assert abs(res.gap) <= reduction.DEFAULT_TARGET_GAP
     assert res.queries > 0
+
+
+def test_exact_reduction_makes_no_hidden_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reduction enumerated the objective")
+
+    monkeypatch.setattr(minsolve, "min_objective_gap", forbidden)
+    monkeypatch.setattr(minsolve, "objective_tensor", forbidden)
+    rng = np.random.default_rng(47)
+    for family in ("dense", "pairwise", "two_sat"):
+        C = random_cost(rng, family, 2 if family == "two_sat" else 3, 3)
+        p = rng.normal(size=(3, C.n))
+        materialized = []
+        real = type(C).materialize
+
+        def counted(self, cap=None, real=real):
+            materialized.append(1)
+            return real(self, cap)
+
+        monkeypatch.setattr(type(C), "materialize", counted)
+        res = min_via_mot_exact(C, p)
+        assert len(materialized) == 1, family
+        em = minimize_envelope_exact(MotOracle.exact_lp(C), p)
+        assert res.queries == em.iterations, family
+
+
+def _kept_coupling_corpus(rng):
+    families = ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
+                "log_determinant", "coulomb", "coulomb_buckingham", "set_function", "two_sat")
+    for s in range(7):
+        for family in families:
+            n, k = (int(v) for v in rng.integers(2, 5, size=2))
+            if family in ("set_function", "two_sat"):
+                n = 2
+            if family.startswith("coulomb"):
+                n = max(n, k)
+            C = random_cost(rng, family, n, k)
+            yield family, C, rng.normal(size=(C.k, C.n)) if s % 2 == 0 else None
+
+
+def test_kept_coupling_matches_requery_and_certifies_gap():
+    rng = np.random.default_rng(48)
+    count = 0
+    for family, C, p in _kept_coupling_corpus(rng):
+        oracle = MotOracle.exact_lp(C)
+        em = minimize_envelope_exact(oracle, p)
+        kept = purify(C, p, em.coupling)
+        fresh = purify(C, p, oracle.query(MarginalSpec.fully_fixed(list(em.mu))).coupling)
+        assert (kept.value, kept.witness) == (fresh.value, fresh.witness), family
+        res = min_via_mot_exact(C, p)
+        assert (res.value, res.witness) == (kept.value, kept.witness), family
+        assert res.queries == em.iterations
+        assert res.gap == kept.value - em.lower_bound
+        if em.certified:
+            assert res.gap <= reduction.DEFAULT_TARGET_GAP, family
+        brute = min_bruteforce(C, p).value
+        assert res.value - res.gap - 1e-9 <= brute <= res.value + 1e-9, family
+        count += 1
+    assert count >= 60
 
 
 def test_exact_reduction_clique_triangle():
@@ -160,8 +221,7 @@ def test_exact_reduction_scale_covariance():
 
 def test_exact_oracle_requires_duals():
     with pytest.raises(ValueError):
-        MotOracle(lambda spec: None, 2, 2, accuracy=0.0, c_max=1.0,
-                  provides_duals=False, provides_coupling=False)
+        MotOracle(lambda spec: None, 2, 2, accuracy=0.0, c_max=1.0, provides_duals=False)
 
 
 def test_approx_reduction_exact_oracle_degenerates():
@@ -288,25 +348,16 @@ def test_minimize_envelope_rejects_max_iters_below_one():
     oracle = MotOracle.exact_lp(C)
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_iters"):
-            minimize_envelope_exact(oracle, None, 2, 2, max_iters=bad)
+            minimize_envelope_exact(oracle, None, max_iters=bad)
     assert oracle.queries == 0
     with pytest.raises(ValueError, match="max_iters"):
         min_via_mot_exact(C, max_iters=0)
 
 
-def test_minimize_envelope_checks_dimensions_before_querying():
-    rng = np.random.default_rng(42)
-    oracle = MotOracle.exact_lp(random_cost(rng, "dense", 3, 3))
-    for n, k in ((3, 4), (4, 3), (3, 2)):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            minimize_envelope_exact(oracle, None, n, k)
-    assert oracle.queries == 0
-
-
 def test_minimize_envelope_lower_bound_history():
     rng = np.random.default_rng(43)
     C = random_cost(rng, "dense", 3, 3)
-    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)), 3, 3)
+    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)))
     lb, ub = np.array(em.lb_history), np.array(em.ub_history)
     assert em.certified and em.iterations > 2
     assert len(lb) == len(ub) == em.iterations
@@ -367,7 +418,7 @@ def test_master_model_is_cold_started_and_built_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "highs_model", recorded_model)
     C = random_cost(rng, "dense", 3, 3)
-    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)), 3, 3)
+    em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)))
     assert em.iterations > 2 and len(models) == 1
     calls = models[0]
     runs = [i for i, name in enumerate(calls) if name == "run"]
