@@ -45,92 +45,135 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
-# What linprog(method="highs") hands HiGHS with its default arguments:
-# presolve on, dual simplex strategy, HiGHS's own tolerances; logging off.
-_LINPROG_SETTINGS = {
+# What linprog(method="highs-ds", options=_LP_OPTIONS) hands HiGHS; logging off.
+_HIGHS_SETTINGS = {
     "presolve": "on",
-    "simplex_strategy": 1,  # dual simplex
-    "output_flag": False,
-    "log_to_console": False,
-}
-
-# The transport LP as method="highs-ds" sets it up from _LP_OPTIONS.
-_TRANSPORT_SETTINGS = {
-    **_LINPROG_SETTINGS,
     "solver": "simplex",
+    "simplex_strategy": 1,  # dual simplex
     "primal_feasibility_tolerance": _LP_OPTIONS["primal_feasibility_tolerance"],
     "dual_feasibility_tolerance": _LP_OPTIONS["dual_feasibility_tolerance"],
+    "output_flag": False,
+    "log_to_console": False,
 }
 
 # linprog's feasibility check of a reported optimum: sqrt(default tol) * 10.
 _RESULT_TOL = math.sqrt(1e-9) * 10
 
-try:  # private scipy bindings; every HiGHS model falls back to linprog without them
+try:  # private scipy bindings; every HighsLP falls back to linprog without them
     from scipy.optimize._highspy import _core
 
-    _core._Highs.clearSolver  # probe: the model-reuse call the models depend on
+    _core._Highs.clearSolver  # probe: the model-reuse call HighsLP depends on
 except (ImportError, AttributeError):
     _core = None
+else:
+    # Built once and shared: passOptions copies them into each model.
+    _HIGHS_OPTIONS = _core.HighsOptions()
+    for _key, _val in _HIGHS_SETTINGS.items():
+        setattr(_HIGHS_OPTIONS, _key, _val)
 
 
-def _highs_options(settings: dict):
-    options = _core.HighsOptions()
-    for key, val in settings.items():
-        setattr(options, key, val)
-    return options
+class HighsLP:
+    """min c.x subject to A_eq x = b_eq, rows a.x <= u added by ``add_row``,
+    and col_lower <= x, solved as linprog(method="highs-ds") solves it.
 
-
-# Built once and shared: passOptions copies them into each model.
-HIGHS_OPTIONS = None if _core is None else _highs_options(_LINPROG_SETTINGS)
-_TRANSPORT_OPTIONS = None if _core is None else _highs_options(_TRANSPORT_SETTINGS)
-
-
-def highs_model(c, A, col_lower, col_upper, row_lower, row_upper, options, what: str):
-    """A HiGHS model of min c.x subject to row_lower <= A x <= row_upper and
-    col_lower <= x <= col_upper, with the prebuilt ``options`` passed; ``A`` is
-    a CSC matrix with int32 indices and ``what`` names the LP in error messages."""
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    highs = _core._Highs()
-    if highs.passOptions(options) == _core.HighsStatus.kError:
-        raise RuntimeError(f"HiGHS rejected the {what} options")
-    if highs.passModel(lp) == _core.HighsStatus.kError:
-        raise RuntimeError(f"HiGHS rejected the {what} model")
-    return highs
-
-
-def solve_highs(highs, col_lower, row_lower, row_upper, fail):
-    """Cold-start solve of a HiGHS model, checked as linprog checks its result.
-
-    The solver is cleared first, so the answer depends only on the model as
-    it stands, never on an earlier basis.  ``fail(status, message)`` must
-    raise; it is called with linprog's status code when the model is not
-    optimal or the solution breaks the bounds by more than linprog allows.
-    Returns x, the objective value, the row duals and the iteration count.
+    ``A_eq`` is a dense array or a CSC array with int32 indices; ``what``
+    names the LP in error messages.
+    One HiGHS model on scipy's private bindings, with the one option set, is
+    built with the equality rows; ``set_rhs`` changes their bounds in place
+    and ``add_row`` appends to it.  Every ``solve`` clears the solver before
+    it runs, so the answer depends only on the rows as they stand, never on
+    an earlier basis, and is checked as linprog checks its result.  Without
+    the private bindings ``solve`` calls ``linprog`` on the same rows.
     """
-    highs.clearSolver()
-    highs.run()
-    model_status = highs.getModelStatus()
-    if model_status != _core.HighsModelStatus.kOptimal:
-        fail(
-            _linprog_status(model_status),
-            f"HiGHS Status {int(model_status)}: {highs.modelStatusToString(model_status)}",
+
+    def __init__(self, c, A_eq, b_eq, col_lower, what: str):
+        self.what = what
+        if isinstance(A_eq, np.ndarray):
+            A_eq = sp.csc_array(A_eq)
+        self._c, self._A_eq, self._col_lower = c, A_eq, col_lower
+        self._m = A_eq.shape[0]
+        # bounds of every row, the m equality rows first, for the result check
+        self._row_lower = np.array(b_eq, dtype=float)
+        self._row_upper = self._row_lower.copy()
+        self._rows: list[np.ndarray] = []  # the added rows, kept for linprog only
+        self._highs = None
+        if _core is None:
+            return
+        lp = _core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+        lp.num_row_ = lp.a_matrix_.num_row_ = self._m
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.col_cost_ = c
+        lp.col_lower_, lp.col_upper_ = col_lower, np.full(len(c), np.inf)
+        lp.row_lower_, lp.row_upper_ = self._row_lower, self._row_upper
+        lp.a_matrix_.start_ = A_eq.indptr
+        lp.a_matrix_.index_ = A_eq.indices
+        lp.a_matrix_.value_ = A_eq.data
+        self._highs = _core._Highs()
+        if self._highs.passOptions(_HIGHS_OPTIONS) == _core.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the {what} options")
+        if self._highs.passModel(lp) == _core.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the {what} model")
+
+    def set_rhs(self, b_eq) -> None:
+        """Replace the right-hand side of the equality rows."""
+        m = self._m
+        self._row_lower[:m] = self._row_upper[:m] = b_eq
+        if self._highs is not None:
+            for row, bound in enumerate(self._row_upper[:m].tolist()):
+                self._highs.changeRowBounds(row, bound, bound)
+
+    def add_row(self, a, upper: float) -> None:
+        """Add the row a.x <= upper, with ``a`` dense over the columns."""
+        a = np.asarray(a, dtype=float)
+        self._row_lower = np.append(self._row_lower, -np.inf)
+        self._row_upper = np.append(self._row_upper, upper)
+        if self._highs is None:
+            self._rows.append(a)
+        else:
+            cols = np.flatnonzero(a)
+            self._highs.addRow(-np.inf, float(upper), cols.size, cols.astype(np.int32), a[cols])
+
+    def solve(self):
+        """Cold-start solve: x, the objective value, the equality-row duals
+        and the iteration count.  Raises RuntimeError naming the LP, with
+        HiGHS's or linprog's own status, when there is no checked optimum."""
+        if self._highs is None:
+            return self._solve_linprog()
+        highs = self._highs
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _core.HighsModelStatus.kOptimal:
+            raise RuntimeError(
+                f"{self.what} failed: HiGHS model status {int(status)} "
+                f"({highs.modelStatusToString(status)})"
+            )
+        solution = highs.getSolution()
+        x, rows = np.array(solution.col_value), np.array(solution.row_value)
+        violation = max(
+            (self._col_lower - x).max(), (self._row_lower - rows).max(), (rows - self._row_upper).max()
         )
-    solution = highs.getSolution()
-    x, rows = np.array(solution.col_value), np.array(solution.row_value)
-    tol = _RESULT_TOL
-    if max((col_lower - x).max(), (row_lower - rows).max(), (rows - row_upper).max()) > tol:
-        fail(4, f"solution violates the constraints by more than {tol:.2E}")
-    info = highs.getInfo()
-    return x, info.objective_function_value, np.array(solution.row_dual), info.simplex_iteration_count
+        if violation > _RESULT_TOL:
+            raise RuntimeError(
+                f"{self.what} failed: solution violates the constraints by more than {_RESULT_TOL:.2E}"
+            )
+        info = highs.getInfo()
+        y = np.array(solution.row_dual[: self._m])
+        return x, info.objective_function_value, y, info.simplex_iteration_count
+
+    def _solve_linprog(self):
+        res = linprog(
+            self._c,
+            A_ub=np.array(self._rows) if self._rows else None,
+            b_ub=self._row_upper[self._m:] if self._rows else None,
+            A_eq=self._A_eq, b_eq=self._row_upper[: self._m],
+            bounds=np.column_stack([self._col_lower, np.full(len(self._c), np.inf)]),
+            method="highs-ds", options=_LP_OPTIONS,
+        )
+        if res.status != 0:
+            raise RuntimeError(f"{self.what} failed: linprog status {res.status} ({res.message})")
+        return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
 
 
 @dataclass(frozen=True)
@@ -177,14 +220,12 @@ class TransportLP:
     """The exact transport LP of one cost with a fixed set of constrained modes.
 
     Column j has cost C_j and a unit coefficient in one equality row per
-    constrained mode; only the row bounds (the marginals) change between
-    queries.  The cost is materialized and the column-wise constraint matrix
-    built once, and handed to one HiGHS model that every ``solve`` reuses.
-    Each solve clears the solver before it runs, so it starts cold from the
-    same model a one-shot ``linprog`` call would build and returns the same basic
-    solution bit for bit.  Solves are serialized by a lock, so one instance
-    may be shared across threads.  Without scipy's private HiGHS bindings,
-    ``solve`` goes through ``linprog`` on the same matrix.
+    constrained mode; only the right-hand side (the marginals) changes
+    between queries.  The cost is materialized and the column-wise constraint
+    matrix built once, into one ``HighsLP`` that every ``solve`` reuses; its
+    cold-start solves return the basic solution a one-shot ``linprog`` call
+    would, bit for bit.  Solves are serialized by a lock, so one instance may
+    be shared across threads.
     """
 
     def __init__(self, C: CostOracle, constrained, cap: int | None = None):
@@ -196,16 +237,12 @@ class TransportLP:
         n, k = C.n, C.k
         total = check_cap(n, k, cap)
         self.n, self.k, self.constrained = n, k, constrained
-        self._c = C.materialize(cap).ravel()
         m = len(constrained)
         # CSC layout: column j holds row pos * n + j_i for each constrained mode i
         indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
         indices = (all_index_tuples(n, k)[:, constrained] + n * np.arange(m)).ravel().astype(np.int32)
-        self._A = sp.csc_array((np.ones(indices.size), indices, indptr), shape=(n * m, total))
-        self._highs = None if _core is None else highs_model(
-            self._c, self._A, np.zeros(total), np.full(total, np.inf),
-            np.zeros(n * m), np.zeros(n * m), _TRANSPORT_OPTIONS, "transport LP",
-        )
+        A = sp.csc_array((np.ones(indices.size), indices, indptr), shape=(n * m, total))
+        self._lp = HighsLP(C.materialize(cap).ravel(), A, np.zeros(n * m), np.zeros(total), "transport LP")
         self._lock = threading.Lock()
 
     def solve(self, spec: MarginalSpec) -> MotSolution:
@@ -221,11 +258,9 @@ class TransportLP:
                 f"spec constrains modes {spec.constrained}, this LP was built for {self.constrained}"
             )
         b = np.concatenate(spec.marginals)
-        if self._highs is None:
-            x, fun, y, nit = self._solve_linprog(b)
-        else:
-            with self._lock:
-                x, fun, y, nit = self._solve_highs(b)
+        with self._lock:
+            self._lp.set_rhs(b)
+            x, fun, y, nit = self._lp.solve()
 
         n, k = self.n, self.k
         keep = np.flatnonzero(x > _SUPPORT_EPS)
@@ -245,38 +280,6 @@ class TransportLP:
             iterations=int(nit),
             dual_value=float(b @ y),
         )
-
-    def _solve_highs(self, b: np.ndarray):
-        highs = self._highs
-        for row, bound in enumerate(b.tolist()):
-            highs.changeRowBounds(row, bound, bound)
-        return solve_highs(highs, 0.0, b, b, _raise_status)
-
-    def _solve_linprog(self, b: np.ndarray):
-        res = linprog(
-            self._c, A_eq=self._A, b_eq=b, bounds=(0, None), method="highs-ds", options=_LP_OPTIONS
-        )
-        if res.status != 0:
-            _raise_status(res.status, res.message)
-        return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
-
-
-def _linprog_status(model_status) -> int:
-    """linprog's status code for a HiGHS model status that is not optimal."""
-    codes = _core.HighsModelStatus
-    return {
-        codes.kTimeLimit: 1,
-        codes.kIterationLimit: 1,
-        codes.kInfeasible: 2,
-        codes.kModelError: 2,
-        codes.kUnbounded: 3,
-    }.get(model_status, 4)
-
-
-def _raise_status(status: int, message: str):
-    if status == 2:
-        raise RuntimeError("transport LP reported infeasible for simplex marginals (internal error)")
-    raise RuntimeError(f"transport LP failed: status {status} ({message})")
 
 
 def solve_lp(C: CostOracle, spec: MarginalSpec, cap: int | None = None) -> MotSolution:
@@ -450,10 +453,5 @@ def solve_submodular(
 def check_dual_feasibility(
     C: CostOracle, duals: DualPotentials, tol: float = 1e-9, cap: int | None = None
 ) -> bool:
-    """Enumerated feasibility of potentials: every entry slack >= -tol."""
-    return dual_slack_minimum(C, duals, cap) >= -tol
-
-
-def dual_slack_minimum(C: CostOracle, duals: DualPotentials, cap: int | None = None) -> float:
-    """min over tuples of C_j - sum_i p[i][j_i] (negative means infeasible)."""
-    return float(objective_tensor(C, duals.p, cap).min())
+    """Enumerated feasibility of potentials: every slack C_j - sum_i p[i][j_i] >= -tol."""
+    return float(objective_tensor(C, duals.p, cap).min()) >= -tol

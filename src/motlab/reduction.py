@@ -20,13 +20,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
-from . import motsolve
 from .costs import CostOracle
 from .minsolve import MinResult, as_weights, weighted_objective
-from .motsolve import HIGHS_OPTIONS, TransportLP, highs_model, solve_highs
+from .motsolve import HighsLP, TransportLP
 from .tensors import CouplingTensor, MarginalSpec
 
 DEFAULT_TARGET_GAP = 1e-6
@@ -42,68 +39,54 @@ class OracleAnswer:
 class MotOracle:
     """Value oracle mu -> transport value with declared additive accuracy.
 
-    Exact oracles (accuracy 0) must also return optimal dual potentials; the
-    query counter is shared across threads.
+    An exact oracle (accuracy 0) must answer with optimal dual potentials;
+    ``query`` raises ValueError when it does not.  The query counter is
+    shared across threads.
     """
 
-    def __init__(self, fn, n: int, k: int, accuracy: float, c_max: float,
-                 provides_duals: bool):
-        if accuracy == 0.0 and not provides_duals:
-            raise ValueError("an exact oracle must supply dual potentials")
+    def __init__(self, fn, n: int, k: int, accuracy: float, c_max: float):
         self._fn = fn
         self.n = n
         self.k = k
         self.accuracy = float(accuracy)
         self.c_max = float(c_max)
-        self.provides_duals = provides_duals
         self.queries = 0
         self._lock = threading.Lock()
 
     def query(self, spec: MarginalSpec) -> OracleAnswer:
         with self._lock:
             self.queries += 1
-        return self._fn(spec)
+        ans = self._fn(spec)
+        if self.accuracy == 0.0 and ans.duals is None:
+            raise ValueError("an exact oracle must supply dual potentials")
+        return ans
 
     @classmethod
     def exact_lp(cls, C: CostOracle, cap: int | None = None) -> "MotOracle":
-        solve = _lp_solver(C, cap)
+        """Exact LP answers on fully fixed marginals, from one ``TransportLP``."""
+        lp = TransportLP(C, range(C.k), cap)
 
         def fn(spec):
-            sol = solve(spec)
+            sol = lp.solve(spec)
             return OracleAnswer(value=sol.value, duals=sol.duals.p, coupling=sol.coupling)
 
-        return cls(fn, C.n, C.k, 0.0, C.upper_bound(), True)
+        return cls(fn, C.n, C.k, 0.0, C.upper_bound())
 
     @classmethod
     def noisy_lp(cls, C: CostOracle, eps: float, seed=None, cap: int | None = None) -> "MotOracle":
-        """Exact LP corrupted by seeded uniform noise of magnitude eps."""
-        solve = _lp_solver(C, cap)
+        """Exact LP values on fully fixed marginals, corrupted by seeded
+        uniform noise of magnitude eps."""
+        lp = TransportLP(C, range(C.k), cap)
         rng = np.random.default_rng(seed)
         lock = threading.Lock()
 
         def fn(spec):
-            sol = solve(spec)
+            sol = lp.solve(spec)
             with lock:
                 noise = rng.uniform(-eps, eps)
             return OracleAnswer(value=sol.value + noise)
 
-        return cls(fn, C.n, C.k, eps, C.upper_bound(), False)
-
-
-def _lp_solver(C: CostOracle, cap: int | None):
-    """spec -> LP solution on C, keeping one TransportLP per set of
-    constrained modes for the lifetime of the returned function."""
-    models: dict[tuple[int, ...], TransportLP] = {}
-    lock = threading.Lock()
-
-    def solve(spec: MarginalSpec):
-        with lock:
-            lp = models.get(spec.constrained)
-            if lp is None:
-                lp = models[spec.constrained] = TransportLP(C, spec.constrained, cap)
-        return lp.solve(spec)
-
-    return solve
+        return cls(fn, C.n, C.k, eps, C.upper_bound())
 
 
 @dataclass(frozen=True)
@@ -187,70 +170,30 @@ class CuttingPlaneMaster:
 
     Columns are t (free) and then mu flattened row-major; rows are the k
     simplex equalities and then one -t + <g_s, mu> <= -b_s row per cut.  One
-    HiGHS model is built with the simplex rows, ``add_cut`` appends a row to
-    it, and every ``solve`` clears the solver before it runs, so a solution
-    depends only on the rows present and never on an earlier basis.  The
-    options are linprog(method="highs")'s.  Without scipy's private HiGHS
-    bindings, ``solve`` goes through ``linprog`` on the same rows.
+    ``HighsLP`` holds the simplex rows and ``add_cut`` appends a row to it;
+    its solves start cold, so a solution depends only on the rows present
+    and never on an earlier basis.
     """
 
     def __init__(self, n: int, k: int):
         dim = n * k
         self.n, self.k = n, k
-        self._obj = np.zeros(dim + 1)
-        self._obj[0] = 1.0
-        self._A_eq = np.zeros((k, dim + 1))
+        obj = np.zeros(dim + 1)
+        obj[0] = 1.0
+        simplex = np.zeros((k, dim + 1))
         for i in range(k):
-            self._A_eq[i, 1 + i * n : 1 + (i + 1) * n] = 1.0
-        self._col_lower = np.concatenate([[-np.inf], np.zeros(dim)])
-        self._g: list[np.ndarray] = []
-        self._b: list[float] = []
-        # read from the module at build time, so the fallback can be forced per model
-        self._highs = None if motsolve._core is None else highs_model(
-            self._obj, sp.csc_array(self._A_eq), self._col_lower, np.full(dim + 1, np.inf),
-            np.ones(k), np.ones(k), HIGHS_OPTIONS, "cutting-plane master LP",
-        )
+            simplex[i, 1 + i * n : 1 + (i + 1) * n] = 1.0
+        col_lower = np.concatenate([[-np.inf], np.zeros(dim)])
+        self._lp = HighsLP(obj, simplex, np.ones(k), col_lower, "cutting-plane master LP")
 
     def add_cut(self, g: np.ndarray, b: float) -> None:
         """Add the cut t >= <g, mu> + b, with g flattened like mu."""
-        g = np.asarray(g, dtype=float)
-        self._g.append(g)
-        self._b.append(float(b))
-        if self._highs is not None:
-            cols = np.flatnonzero(g)
-            self._highs.addRow(
-                -np.inf, -float(b), cols.size + 1,
-                np.concatenate([[0], cols + 1]).astype(np.int32),
-                np.concatenate([[-1.0], g[cols]]),
-            )
+        self._lp.add_row(np.concatenate([[-1.0], g]), -float(b))
 
     def solve(self) -> tuple[float, np.ndarray]:
         """The lower bound min t and a minimizing mu as a (k, n) array."""
-        b_ub = -np.array(self._b)
-        if self._highs is None:
-            res = linprog(
-                self._obj,
-                A_ub=np.column_stack([-np.ones(len(self._g)), np.array(self._g)]),
-                b_ub=b_ub, A_eq=self._A_eq, b_eq=np.ones(self.k),
-                bounds=[(None, None)] + [(0, None)] * (self.n * self.k),
-                method="highs",
-            )
-            if res.status != 0:
-                _master_failed(res.status, res.message)
-            x, fun = res.x, res.fun
-        else:
-            ones = np.ones(self.k)
-            x, fun, _, _ = solve_highs(
-                self._highs, self._col_lower,
-                np.concatenate([ones, np.full(b_ub.size, -np.inf)]),
-                np.concatenate([ones, b_ub]),
-                _master_failed,
-            )
+        x, fun, _, _ = self._lp.solve()
         return float(fun), x[1:].reshape(self.k, self.n)
-
-
-def _master_failed(status: int, message: str):
-    raise RuntimeError(f"cutting-plane master LP failed: {message}")
 
 
 def minimize_envelope_exact(
@@ -272,8 +215,8 @@ def minimize_envelope_exact(
         raise ValueError("target_gap must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if oracle.accuracy != 0.0 or not oracle.provides_duals:
-        raise ValueError("the exact envelope path needs an exact oracle with duals")
+    if oracle.accuracy != 0.0:
+        raise ValueError("the exact envelope path needs an exact oracle")
     n, k = oracle.n, oracle.k
     p = as_weights(p, n, k)
     budget = min(max_iters, iteration_budget(oracle.c_max, p, n, k, target_gap))

@@ -18,6 +18,7 @@ from motlab import (
     is_coupling,
     lovasz_extension,
     motsolve,
+    reduction,
     round_to_polytope,
     sinkhorn,
     solve_lp,
@@ -191,15 +192,29 @@ def _count_calls(monkeypatch, module, name):
 def test_highs_options_are_built_once_and_copied_into_each_model(monkeypatch):
     option_builds = _count_calls(monkeypatch, motsolve._core, "HighsOptions")
     C = random_cost(np.random.default_rng(33), "dense", 3, 3)
-    models = [TransportLP(C, range(3))._highs for _ in range(2)]
+    models = [TransportLP(C, range(3))._lp._highs for _ in range(2)]
+    models.append(reduction.CuttingPlaneMaster(3, 3)._lp._highs)
     assert option_builds == []
     for highs in models:
         options = highs.getOptions()
-        for key, val in motsolve._TRANSPORT_SETTINGS.items():
+        for key, val in motsolve._HIGHS_SETTINGS.items():
             assert getattr(options, key) == val
     # passOptions copies: a later change to the shared object leaves built models alone
-    monkeypatch.setattr(motsolve._TRANSPORT_OPTIONS, "presolve", "off")
-    assert models[0].getOptions().presolve == "on"
+    monkeypatch.setattr(motsolve._HIGHS_OPTIONS, "presolve", "off")
+    assert all(highs.getOptions().presolve == "on" for highs in models)
+
+
+@pytest.mark.parametrize("private_bindings", [True, False])
+def test_lp_failure_names_the_lp(monkeypatch, private_bindings):
+    if not private_bindings:
+        monkeypatch.setattr(motsolve, "_core", None)
+    elif motsolve._core is None:
+        pytest.skip("needs scipy's private HiGHS bindings")
+    # x0 = 1 as an equality row, then x0 <= 0: infeasible
+    lp = motsolve.HighsLP(np.ones(2), np.array([[1.0, 0.0]]), np.ones(1), np.zeros(2), "test LP")
+    lp.add_row(np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
+        lp.solve()
 
 
 def test_transport_lp_reuse_matches_one_shot_solves():

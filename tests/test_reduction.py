@@ -31,7 +31,7 @@ from motlab import (
 )
 from motlab.corpus import random_cost, random_marginals
 from motlab.graphs import KPartiteGraph, UndirectedGraph
-from motlab.reduction import project_to_simplex
+from motlab.reduction import OracleAnswer, project_to_simplex
 
 TRIANGLE = KPartiteGraph(
     n=2, k=3, edges=(((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 0), (2, 0)))
@@ -220,8 +220,14 @@ def test_exact_reduction_scale_covariance():
 
 
 def test_exact_oracle_requires_duals():
-    with pytest.raises(ValueError):
-        MotOracle(lambda spec: None, 2, 2, accuracy=0.0, c_max=1.0, provides_duals=False)
+    oracle = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.0, c_max=1.0)
+    with pytest.raises(ValueError, match="dual potentials"):
+        oracle.query(MarginalSpec.point_masses(2, (0, 1)))
+    with pytest.raises(ValueError, match="dual potentials"):
+        minimize_envelope_exact(oracle, None)
+    # a noisy oracle may answer with values alone
+    noisy = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.1, c_max=1.0)
+    assert noisy.query(MarginalSpec.point_masses(2, (0, 1))).duals is None
 
 
 def test_approx_reduction_exact_oracle_degenerates():
@@ -295,7 +301,7 @@ def _same_answer(ans, sol):
     )
 
 
-def test_exact_oracle_reuses_one_model_per_constrained_set(monkeypatch):
+def test_exact_oracle_reuses_one_model(monkeypatch):
     built = []
 
     class CountingLP(TransportLP):
@@ -313,11 +319,12 @@ def test_exact_oracle_reuses_one_model_per_constrained_set(monkeypatch):
         assert _same_answer(oracle.query(spec), solve_lp(C, spec))
     assert built == [(0, 1, 2)]
     partial = MarginalSpec.partial(3, 3, {0: A.marginals[0], 2: A.marginals[2]})
-    for spec in (partial, A, partial):
-        assert _same_answer(oracle.query(spec), solve_lp(C, spec))
-    assert built == [(0, 1, 2), (0, 2)]
+    with pytest.raises(ValueError, match="built for"):
+        oracle.query(partial)
+    assert _same_answer(oracle.query(A), solve_lp(C, A))
+    assert built == [(0, 1, 2)]
 
-    specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(12)] + [partial, B]
+    specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(12)] + [B]
     expected = [solve_lp(C, spec) for spec in specs]
     answers = [[None] * len(specs) for _ in range(4)]
 
@@ -339,8 +346,8 @@ def test_exact_oracle_reuses_one_model_per_constrained_set(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for slot in answers:
         assert all(_same_answer(ans, sol) for ans, sol in zip(slot, expected))
-    assert oracle.queries == 6 + 4 * len(specs)
-    assert built == [(0, 1, 2), (0, 2)]
+    assert oracle.queries == 5 + 4 * len(specs)
+    assert built == [(0, 1, 2)]
 
 
 def test_minimize_envelope_rejects_max_iters_below_one():
@@ -410,13 +417,14 @@ def test_master_model_is_cold_started_and_built_once(monkeypatch):
         assert np.allclose(mu.sum(axis=1), 1.0) and mu.min() >= -1e-9
 
     models = []
-    real_model = reduction.highs_model
 
-    def recorded_model(*args, **kwargs):
-        models.append([])
-        return _RecordedModel(real_model(*args, **kwargs), models[-1])
+    class RecordedLP(motsolve.HighsLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append([])
+            self._highs = _RecordedModel(self._highs, models[-1])
 
-    monkeypatch.setattr(reduction, "highs_model", recorded_model)
+    monkeypatch.setattr(reduction, "HighsLP", RecordedLP)
     C = random_cost(rng, "dense", 3, 3)
     em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)))
     assert em.iterations > 2 and len(models) == 1
@@ -442,14 +450,14 @@ def test_master_fallback_matches_highs_path(monkeypatch):
     for family, n, k in FALLBACK_CORPUS:
         C = random_cost(rng, family, n, k)
         instances.append((family, C, rng.normal(size=(k, n)) if rng.random() < 0.5 else None))
-    real_linprog = reduction.linprog
+    real_linprog = motsolve.linprog
     linprog_calls = []
 
     def counted_linprog(*args, **kwargs):
         linprog_calls.append(1)
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "linprog", counted_linprog)
+    monkeypatch.setattr(motsolve, "linprog", counted_linprog)
 
     def run_all():
         bounds = [[lower for lower, _ in _master_bounds(n, k, cuts)] for n, k, cuts in cut_sets]
