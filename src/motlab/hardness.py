@@ -369,8 +369,7 @@ def lipschitz_experiment(C: CostOracle, trials: int = 100, seed: int = 0) -> dic
         mu = random_marginals(rng, C.n, C.k)
         nu = random_marginals(rng, C.n, C.k)
         dv = abs(
-            lp.solve(MarginalSpec.fully_fixed(mu)).value
-            - lp.solve(MarginalSpec.fully_fixed(nu)).value
+            lp.value(MarginalSpec.fully_fixed(mu)) - lp.value(MarginalSpec.fully_fixed(nu))
         )
         dmu = sum(float(np.abs(a - b).sum()) for a, b in zip(mu, nu))
         if dmu > 0:

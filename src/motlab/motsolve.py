@@ -81,9 +81,12 @@ class HighsLP:
     One HiGHS model on scipy's private bindings, with the one option set, is
     built with the equality rows; ``set_rhs`` changes their bounds in place
     and ``add_row`` appends to it.  Every ``solve`` clears the solver before
-    it runs, so the answer depends only on the rows as they stand, never on
-    an earlier basis, and is checked as linprog checks its result.  Without
-    the private bindings ``solve`` calls ``linprog`` on the same rows.
+    it runs, so its x and duals depend only on the rows as they stand, never
+    on an earlier basis.  ``value`` asks for the optimal value alone and
+    starts from the basis the last run left: the value of an LP does not
+    depend on which optimal basis is found, so only its roundoff can differ
+    from a cold run.  Both are checked as linprog checks its result.
+    Without the private bindings both call ``linprog`` on the same rows.
     """
 
     def __init__(self, c, A_eq, b_eq, col_lower, what: str):
@@ -139,10 +142,34 @@ class HighsLP:
         and the iteration count.  Raises RuntimeError naming the LP, with
         HiGHS's or linprog's own status, when there is no checked optimum."""
         if self._highs is None:
-            return self._solve_linprog()
+            res = self._linprog()
+            return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
         highs = self._highs
         highs.clearSolver()
         highs.run()
+        x, solution = self._checked_solution()
+        info = highs.getInfo()
+        y = np.array(solution.row_dual[: self._m])
+        return x, info.objective_function_value, y, info.simplex_iteration_count
+
+    def value(self) -> float:
+        """The checked optimal value, warm-started from the last basis; a run
+        that does not end optimal is cleared and run once more from cold.
+        Raises as ``solve`` does."""
+        if self._highs is None:
+            return float(self._linprog().fun)
+        highs = self._highs
+        highs.run()
+        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            highs.clearSolver()
+            highs.run()
+        self._checked_solution()
+        return float(highs.getInfo().objective_function_value)
+
+    def _checked_solution(self):
+        """x and the solution of the last run, once its status is optimal and
+        it meets the constraints to linprog's tolerance."""
+        highs = self._highs
         status = highs.getModelStatus()
         if status != _core.HighsModelStatus.kOptimal:
             raise RuntimeError(
@@ -158,11 +185,9 @@ class HighsLP:
             raise RuntimeError(
                 f"{self.what} failed: solution violates the constraints by more than {_RESULT_TOL:.2E}"
             )
-        info = highs.getInfo()
-        y = np.array(solution.row_dual[: self._m])
-        return x, info.objective_function_value, y, info.simplex_iteration_count
+        return x, solution
 
-    def _solve_linprog(self):
+    def _linprog(self):
         res = linprog(
             self._c,
             A_ub=np.array(self._rows) if self._rows else None,
@@ -173,7 +198,7 @@ class HighsLP:
         )
         if res.status != 0:
             raise RuntimeError(f"{self.what} failed: linprog status {res.status} ({res.message})")
-        return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
+        return res
 
 
 @dataclass(frozen=True)
@@ -222,10 +247,14 @@ class TransportLP:
     Column j has cost C_j and a unit coefficient in one equality row per
     constrained mode; only the right-hand side (the marginals) changes
     between queries.  The cost is materialized and the column-wise constraint
-    matrix built once, into one ``HighsLP`` that every ``solve`` reuses; its
-    cold-start solves return the basic solution a one-shot ``linprog`` call
-    would, bit for bit.  Solves are serialized by a lock, so one instance may
-    be shared across threads.
+    matrix built once, into one ``HighsLP`` that every query reuses.
+    ``solve`` starts cold and returns the basic solution a one-shot
+    ``linprog`` call would, bit for bit, so its coupling and duals never
+    depend on an earlier query.  ``value`` returns the optimal value alone,
+    warm-started from the previous query's basis: it agrees with ``solve``
+    up to roundoff and skips both the cold start and building the coupling.
+    Queries are serialized by a lock, so one instance may be shared across
+    threads.
     """
 
     def __init__(self, C: CostOracle, constrained, cap: int | None = None):
@@ -245,19 +274,30 @@ class TransportLP:
         self._lp = HighsLP(C.materialize(cap).ravel(), A, np.zeros(n * m), np.zeros(total), "transport LP")
         self._lock = threading.Lock()
 
-    def solve(self, spec: MarginalSpec) -> MotSolution:
-        """Optimal value, basic coupling and dual potentials for ``spec``.
-
-        Unconstrained modes get zero potentials; the coupling is a basic
-        solution (support at most the constraint-matrix rank).
-        """
+    def _rhs(self, spec: MarginalSpec) -> np.ndarray:
+        """The equality right-hand side for ``spec``, once it fits this LP."""
         if (self.n, self.k) != (spec.n, spec.k):
             raise ValueError("dimension mismatch between cost and marginal spec")
         if spec.constrained != self.constrained:
             raise ValueError(
                 f"spec constrains modes {spec.constrained}, this LP was built for {self.constrained}"
             )
-        b = np.concatenate(spec.marginals)
+        return np.concatenate(spec.marginals)
+
+    def value(self, spec: MarginalSpec) -> float:
+        """Optimal value for ``spec``, warm-started from the last query."""
+        b = self._rhs(spec)
+        with self._lock:
+            self._lp.set_rhs(b)
+            return self._lp.value()
+
+    def solve(self, spec: MarginalSpec) -> MotSolution:
+        """Optimal value, basic coupling and dual potentials for ``spec``.
+
+        Unconstrained modes get zero potentials; the coupling is a basic
+        solution (support at most the constraint-matrix rank).
+        """
+        b = self._rhs(spec)
         with self._lock:
             self._lp.set_rhs(b)
             x, fun, y, nit = self._lp.solve()

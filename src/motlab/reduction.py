@@ -75,16 +75,23 @@ class MotOracle:
     @classmethod
     def noisy_lp(cls, C: CostOracle, eps: float, seed=None, cap: int | None = None) -> "MotOracle":
         """Exact LP values on fully fixed marginals, corrupted by seeded
-        uniform noise of magnitude eps."""
+        uniform noise of magnitude eps (finite and >= 0).
+
+        Answers carry values only, so each comes from ``TransportLP.value``,
+        warm-started from the oracle's previous query; nothing is shared
+        between oracles.
+        """
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
         lp = TransportLP(C, range(C.k), cap)
         rng = np.random.default_rng(seed)
         lock = threading.Lock()
 
         def fn(spec):
-            sol = lp.solve(spec)
+            value = lp.value(spec)
             with lock:
                 noise = rng.uniform(-eps, eps)
-            return OracleAnswer(value=sol.value + noise)
+            return OracleAnswer(value=value + noise)
 
         return cls(fn, C.n, C.k, eps, C.upper_bound())
 
@@ -120,17 +127,18 @@ def lipschitz_bound(C: CostOracle) -> float:
     return 2.0 * C.upper_bound()
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    a = -np.sort(-v)
-    cums = (np.cumsum(a) - 1.0) / np.arange(1, len(v) + 1)
-    rho = np.max(np.flatnonzero(a > cums))
-    return np.maximum(v - cums[rho], 0.0)
-
-
 def project_rows_to_simplex(mat: np.ndarray) -> np.ndarray:
-    return np.stack([project_to_simplex(row) for row in mat])
+    """Euclidean projection of each row of a 2-D array onto the probability
+    simplex: subtract the row's threshold theta and clip at 0, where theta
+    is (sum of the rho largest entries - 1) / rho for the last rho at which
+    the rho-th largest entry still exceeds that mean."""
+    mat = np.asarray(mat, dtype=float)
+    a = -np.sort(-mat, axis=1)
+    cums = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, mat.shape[1] + 1)
+    # the first entry always exceeds its mean, so every row has a last hit
+    rho = mat.shape[1] - 1 - np.argmax((a > cums)[:, ::-1], axis=1)
+    theta = cums[np.arange(mat.shape[0]), rho]
+    return np.maximum(mat - theta[:, None], 0.0)
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:

@@ -112,6 +112,18 @@ def test_solve_mot_rejects_bad_sinkhorn_settings(perm_instance, flag, value, mon
     assert main(argv) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+def test_solve_min_approx_rejects_bad_noise(perm_instance, tmp_path, eps, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran the approximate reduction with noise it must reject")
+
+    monkeypatch.setattr(cli, "min_via_mot_approx", fail)
+    out = tmp_path / "r.json"
+    argv = ["solve-min", str(perm_instance), "--via", "mot-approx", "--eps", eps, "--out", str(out)]
+    assert main(argv) == EXIT_SCHEMA
+    assert not out.exists()
+
+
 def test_exit_cap_exceeded(tmp_path):
     n, k = 10, 9
     C = LowRankCost(n=n, k=k, terms=(tuple(np.ones(n) for _ in range(k)),))

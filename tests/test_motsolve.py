@@ -204,15 +204,20 @@ def test_highs_options_are_built_once_and_copied_into_each_model(monkeypatch):
     assert all(highs.getOptions().presolve == "on" for highs in models)
 
 
+def _infeasible_lp():
+    """x0 = 1 as an equality row, then x0 <= 0."""
+    lp = motsolve.HighsLP(np.ones(2), np.array([[1.0, 0.0]]), np.ones(1), np.zeros(2), "test LP")
+    lp.add_row(np.array([1.0, 0.0]), 0.0)
+    return lp
+
+
 @pytest.mark.parametrize("private_bindings", [True, False])
 def test_lp_failure_names_the_lp(monkeypatch, private_bindings):
     if not private_bindings:
         monkeypatch.setattr(motsolve, "_core", None)
     elif motsolve._core is None:
         pytest.skip("needs scipy's private HiGHS bindings")
-    # x0 = 1 as an equality row, then x0 <= 0: infeasible
-    lp = motsolve.HighsLP(np.ones(2), np.array([[1.0, 0.0]]), np.ones(1), np.zeros(2), "test LP")
-    lp.add_row(np.array([1.0, 0.0]), 0.0)
+    lp = _infeasible_lp()
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
         lp.solve()
 
@@ -226,6 +231,127 @@ def test_transport_lp_reuse_matches_one_shot_solves():
         assert _same_lp_solution(lp.solve(spec), solve_lp(C, spec))
     with pytest.raises(ValueError, match="built for"):
         lp.solve(_lp_specs(rng, 2, 4)[3])
+
+
+ALL_FAMILIES = ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
+                "log_determinant", "coulomb", "coulomb_buckingham", "set_function", "two_sat")
+
+
+def _value_corpus(rng, costs_per_family=10, queries=40):
+    """Costs of all ten families at n, k <= 4, each with ``queries`` fully
+    fixed specs cycling through random, point-mass, zero-entry and sparse
+    Dirichlet marginals."""
+    for family in ALL_FAMILIES:
+        for _ in range(costs_per_family):
+            n = 2 if family in ("set_function", "two_sat") else int(rng.integers(2, 5))
+            k = int(rng.integers(2, 5))
+            specs = []
+            for q in range(queries):
+                mu = np.stack(random_marginals(rng, n, k))
+                if q % 4 == 1:
+                    mu = np.eye(n)[rng.integers(0, n, k)]
+                elif q % 4 == 2:
+                    mu[np.arange(k), rng.integers(0, n, k)] = 0.0
+                    mu /= mu.sum(axis=1, keepdims=True)
+                elif q % 4 == 3:
+                    for row in mu:
+                        keep = rng.random(n) < 0.5
+                        keep[rng.integers(n)] = True
+                        row[:] = 0.0
+                        row[keep] = rng.dirichlet(np.full(keep.sum(), 0.3))
+                specs.append(MarginalSpec.fully_fixed(list(mu)))
+            yield family, random_cost(rng, family, n, k), specs
+
+
+def _close_to_cold(value, cold):
+    return abs(value - cold) <= 1e-9 * max(1.0, abs(cold))
+
+
+def test_warm_values_match_cold_solves():
+    rng = np.random.default_rng(34)
+    count = 0
+    for family, C, specs in _value_corpus(rng):
+        warm, cold = TransportLP(C, range(C.k)), TransportLP(C, range(C.k))
+        for spec in specs:
+            value, expected = warm.value(spec), cold.solve(spec).value
+            assert _close_to_cold(value, expected), (family, spec.marginals, value, expected)
+            count += 1
+    assert count == 10 * 10 * 40
+
+
+def test_interleaved_values_leave_solves_cold():
+    rng = np.random.default_rng(35)
+    for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=12):
+        lp = TransportLP(C, range(C.k))
+        for spec in specs:
+            value = lp.value(spec)
+            sol = lp.solve(spec)
+            assert _same_lp_solution(sol, solve_lp(C, spec)), family
+            assert _close_to_cold(value, sol.value), family
+    with pytest.raises(ValueError, match="built for"):
+        lp.value(MarginalSpec.partial(C.n, C.k, {0: specs[0].marginals[0]}))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lp.value(MarginalSpec.point_masses(C.n + 1, (0,) * C.k))
+
+
+def test_value_without_private_bindings_is_the_linprog_value(monkeypatch):
+    monkeypatch.setattr(motsolve, "_core", None)
+    linprog_calls = _count_calls(monkeypatch, motsolve, "linprog")
+    rng = np.random.default_rng(36)
+    for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=8):
+        lp = TransportLP(C, range(C.k))
+        for spec in specs:
+            assert lp.value(spec) == solve_lp(C, spec).value, family
+    assert len(linprog_calls) == 2 * 10 * 8
+
+
+class _NotOptimalAtFirst:
+    """Passes every attribute through to a HiGHS model and logs its name; the
+    first ``bad`` model-status reads report kUnknown."""
+
+    def __init__(self, highs, bad):
+        self._highs, self._bad, self.calls = highs, bad, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        if name == "getModelStatus" and self._bad > 0:
+            self._bad -= 1
+            return lambda: motsolve._core.HighsModelStatus.kUnknown
+        return getattr(self._highs, name)
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_value_reruns_cold_after_a_non_optimal_warm_run():
+    rng = np.random.default_rng(37)
+    C = random_cost(rng, "pairwise", 3, 3)
+    specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(2)]
+    lp = TransportLP(C, range(3))
+    lp.value(specs[0])
+    model = lp._lp._highs = _NotOptimalAtFirst(lp._lp._highs, bad=1)
+    assert lp.value(specs[1]) == solve_lp(C, specs[1]).value
+    runs = [i for i, name in enumerate(model.calls) if name == "run"]
+    assert len(runs) == 2 and model.calls.count("clearSolver") == 1
+    assert model.calls[runs[0] + 1 : runs[1]] == ["getModelStatus", "clearSolver"]
+
+    lp._lp._highs = _NotOptimalAtFirst(model._highs, bad=2)
+    with pytest.raises(RuntimeError, match="transport LP failed: HiGHS model status"):
+        lp.value(specs[0])
+
+
+@pytest.mark.parametrize("private_bindings", [True, False])
+def test_value_failure_names_the_lp(monkeypatch, private_bindings):
+    if not private_bindings:
+        monkeypatch.setattr(motsolve, "_core", None)
+    elif motsolve._core is None:
+        pytest.skip("needs scipy's private HiGHS bindings")
+    lp = _infeasible_lp()
+    calls = []
+    if private_bindings:
+        lp._highs = _NotOptimalAtFirst(lp._highs, bad=0)
+        calls = lp._highs.calls
+    with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
+        lp.value()
+    assert calls.count("run") == (2 if private_bindings else 0)
 
 
 def test_dual_feasibility_checks():

@@ -31,7 +31,8 @@ from motlab import (
 )
 from motlab.corpus import random_cost, random_marginals
 from motlab.graphs import KPartiteGraph, UndirectedGraph
-from motlab.reduction import OracleAnswer, project_to_simplex
+from motlab.reduction import OracleAnswer, project_rows_to_simplex
+from motlab.tensors import CouplingTensor
 
 TRIANGLE = KPartiteGraph(
     n=2, k=3, edges=(((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 0), (2, 0)))
@@ -241,6 +242,45 @@ def test_approx_reduction_exact_oracle_degenerates():
         assert abs(res.value - min_bruteforce(C).value) <= 1e-4
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+def test_noisy_oracle_rejects_bad_noise(eps):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        MotOracle.noisy_lp(DenseCost(np.zeros((2, 2))), eps=eps, seed=0)
+
+
+def test_noisy_oracle_accepts_zero_noise():
+    assert MotOracle.noisy_lp(DenseCost(np.zeros((2, 2))), eps=0.0, seed=0).accuracy == 0.0
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_noisy_reduction_makes_no_hidden_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the noisy oracle built a coupling or ran a cold solve")
+
+    monkeypatch.setattr(CouplingTensor, "from_entries", forbidden)
+    monkeypatch.setattr(TransportLP, "solve", forbidden)
+    models = _record_models(monkeypatch, motsolve)
+    rng = np.random.default_rng(51)
+    for family in ("dense", "pairwise", "two_sat"):
+        C = random_cost(rng, family, 2 if family == "two_sat" else 3, 3)
+        materialized = []
+        real = type(C).materialize
+
+        def counted(self, cap=None, real=real):
+            materialized.append(1)
+            return real(self, cap)
+
+        monkeypatch.setattr(type(C), "materialize", counted)
+        models.clear()
+        oracle = MotOracle.noisy_lp(C, eps=0.01, seed=3)
+        res = min_via_mot_approx(oracle, rng.normal(size=(3, C.n)), eps=0.01, budget=120, seed=3)
+        assert res.queries == oracle.queries > 100, family
+        assert len(materialized) == 1 and len(models) == 1, family
+        # one warm run per query: the solver is never cleared
+        assert models[0].count("run") == oracle.queries, family
+        assert "clearSolver" not in models[0], family
+
+
 def test_approx_reduction_constant_cost_with_noise():
     C = DenseCost(np.full((2, 2), 3.0))
     eps = 0.01
@@ -278,11 +318,41 @@ def test_simplex_projection():
     rng = np.random.default_rng(8)
     for _ in range(50):
         v = rng.normal(size=5) * 3
-        x = project_to_simplex(v)
+        x = project_rows_to_simplex(v[None, :])[0]
         assert abs(x.sum() - 1) < 1e-12 and x.min() >= 0
         # projection of a simplex point is itself
         s = rng.dirichlet(np.ones(5))
-        assert np.allclose(project_to_simplex(s), s, atol=1e-12)
+        assert np.allclose(project_rows_to_simplex(s[None, :])[0], s, atol=1e-12)
+
+
+def _project_row_reference(v):
+    """One row at a time: sort, running means, last index above its mean."""
+    a = -np.sort(-v)
+    cums = (np.cumsum(a) - 1.0) / np.arange(1, len(v) + 1)
+    rho = np.max(np.flatnonzero(a > cums))
+    return np.maximum(v - cums[rho], 0.0)
+
+
+def test_row_projection_matches_per_row_reference_bitwise():
+    rng = np.random.default_rng(49)
+    for t in range(4000):
+        k, n = (int(v) for v in rng.integers(1, 7, size=2))
+        kind = t % 5
+        if kind == 0:
+            mat = rng.normal(size=(k, n)) * 3
+        elif kind == 1:  # rows already on the simplex
+            mat = rng.dirichlet(np.ones(n), size=k)
+        elif kind == 2:  # ties, and rows of equal entries
+            mat = rng.integers(-2, 3, size=(k, n)) / 2.0
+            mat[0] = mat[0, 0]
+        elif kind == 3:  # point masses, with a perturbation on half the rows
+            mat = np.eye(n)[rng.integers(0, n, k)]
+            mat[::2] += 0.1 * rng.standard_normal((len(mat[::2]), n))
+        else:  # annealing proposals: a simplex point plus a scaled Gaussian step
+            mu = rng.dirichlet(np.ones(n), size=k)
+            mat = mu + 0.8 * (mu + 0.5 / n) * rng.standard_normal((k, n))
+        want = np.stack([_project_row_reference(row) for row in mat])
+        assert np.array_equal(project_rows_to_simplex(mat), want), (t, mat)
 
 
 def test_query_counting():
@@ -407,6 +477,20 @@ class _RecordedModel:
         return getattr(self._highs, name)
 
 
+def _record_models(monkeypatch, module):
+    """One call log per HighsLP that ``module`` builds from here on."""
+    models = []
+
+    class RecordedLP(motsolve.HighsLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append([])
+            self._highs = _RecordedModel(self._highs, models[-1])
+
+    monkeypatch.setattr(module, "HighsLP", RecordedLP)
+    return models
+
+
 def test_master_model_is_cold_started_and_built_once(monkeypatch):
     rng = np.random.default_rng(44)
     cuts = _oracle_cuts(rng, "pairwise", 3, 3, 10)
@@ -416,15 +500,7 @@ def test_master_model_is_cold_started_and_built_once(monkeypatch):
         assert lower == fresh_lower and np.array_equal(mu, fresh_mu)
         assert np.allclose(mu.sum(axis=1), 1.0) and mu.min() >= -1e-9
 
-    models = []
-
-    class RecordedLP(motsolve.HighsLP):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            models.append([])
-            self._highs = _RecordedModel(self._highs, models[-1])
-
-    monkeypatch.setattr(reduction, "HighsLP", RecordedLP)
+    models = _record_models(monkeypatch, reduction)
     C = random_cost(rng, "dense", 3, 3)
     em = minimize_envelope_exact(MotOracle.exact_lp(C), rng.normal(size=(3, 3)))
     assert em.iterations > 2 and len(models) == 1
