@@ -56,7 +56,6 @@ from .tensors import (
     CouplingTensor,
     DualPotentials,
     MarginalSpec,
-    dense_cap,
     entropy,
     inner_product,
     is_coupling,

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 verification checks failed, 2 schema violation,
 3 dense cap exceeded, 4 solver did not converge (a partial report is still
 written).  All randomness flows from --seed; reports embed the seed and a
-content digest of their inputs.  The environment variable MOTLAB_DENSE_CAP
-overrides the dense-entry cap.
+content digest of their inputs.  The dense-entry limit (how many of the n^k
+cost or coupling entries may be held as one array, 10^7 by default) is set
+only by the environment variable MOTLAB_DENSE_CAP; exceeding it exits 3, and
+a value that is not an integer exits 2.
 """
 
 from __future__ import annotations

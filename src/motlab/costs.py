@@ -4,7 +4,7 @@ Every family evaluates single entries and batches of index tuples without ever
 materializing the full n^k tensor, and reports a certified bound on the
 absolute value of its entries.  Builders encode graphs, point sets, ion
 configurations, and 2-CNF formulas into costs; brute-force materialization is
-available under the dense cap for cross-checking.
+available under the dense cap ($MOTLAB_DENSE_CAP) for cross-checking.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class CostOracle:
             raise ValueError(f"index tuple {jvec} out of range for n={self.n}")
         return float(self.evaluate_batch(J)[0])
 
-    def materialize(self, cap: int | None = None) -> np.ndarray:
-        """Dense (n,)*k tensor of all entries; requires n^k under the dense cap."""
-        total = check_cap(self.n, self.k, cap)
+    def materialize(self) -> np.ndarray:
+        """Dense (n,)*k tensor of all entries; requires n^k under $MOTLAB_DENSE_CAP."""
+        total = check_cap(self.n, self.k)
         out = np.empty(total)
         for lo in range(0, total, _BATCH):
             hi = min(lo + _BATCH, total)
@@ -84,8 +84,8 @@ class DenseCost(CostOracle):
     def evaluate_batch(self, J):
         return self.array[tuple(np.asarray(J, dtype=np.int64).T)]
 
-    def materialize(self, cap=None):
-        check_cap(self.n, self.k, cap)
+    def materialize(self):
+        check_cap(self.n, self.k)
         return self.array
 
     def upper_bound(self) -> float:
@@ -173,9 +173,9 @@ class PairwiseCost(CostOracle):
             out += g[J[:, i], J[:, i2]]
         return out
 
-    def materialize(self, cap=None):
+    def materialize(self):
         # tables added in evaluate_batch's order, so entries match it bitwise
-        check_cap(self.n, self.k, cap)
+        check_cap(self.n, self.k)
         out = np.zeros((self.n,) * self.k)
         for (i, i2), g in self.tables.items():
             shape = [1] * self.k
@@ -281,11 +281,11 @@ class SetFunctionCost(CostOracle):
             return float(self.table[mask])
         return float(self.fn(int(mask)))
 
-    def with_table(self, cap: int = SET_FUNCTION_TABLE_CAP) -> "SetFunctionCost":
+    def with_table(self) -> "SetFunctionCost":
         if self.table is not None:
             return self
-        if self.k > cap:
-            raise ValueError(f"k={self.k} exceeds set-function table cap {cap}")
+        if self.k > SET_FUNCTION_TABLE_CAP:
+            raise ValueError(f"k={self.k} exceeds set-function table cap {SET_FUNCTION_TABLE_CAP}")
         table = np.array([self.fn(m) for m in range(2**self.k)], dtype=float)
         return SetFunctionCost(k=self.k, table=table)
 
@@ -494,11 +494,11 @@ def build_twosat_cost(cnf: CnfFormula) -> TwoSatCost:
     return TwoSatCost(cnf=cnf)
 
 
-def _increment_inequalities(C: SetFunctionCost, cap: int) -> np.ndarray:
+def _increment_inequalities(C: SetFunctionCost) -> np.ndarray:
     """lhs - rhs of C(S+i) + C(S+j) >= C(S+i+j) + C(S) over all S and pairs i<j."""
-    if C.k > cap:
-        raise ValueError(f"k={C.k} exceeds enumeration cap {cap}")
-    table = C.with_table(cap).table
+    if C.k > SET_FUNCTION_TABLE_CAP:
+        raise ValueError(f"k={C.k} exceeds enumeration cap {SET_FUNCTION_TABLE_CAP}")
+    table = C.with_table().table
     masks = np.arange(2**C.k, dtype=np.int64)
     diffs = []
     for i in range(C.k):
@@ -512,10 +512,10 @@ def _increment_inequalities(C: SetFunctionCost, cap: int) -> np.ndarray:
     return np.concatenate(diffs)
 
 
-def is_submodular(C: SetFunctionCost, tol: float = 1e-9, cap: int = SET_FUNCTION_TABLE_CAP) -> bool:
+def is_submodular(C: SetFunctionCost, tol: float = 1e-9) -> bool:
     """Enumerated submodularity check via double-increment inequalities."""
-    return bool(_increment_inequalities(C, cap).min() >= -tol)
+    return bool(_increment_inequalities(C).min() >= -tol)
 
 
-def is_supermodular(C: SetFunctionCost, tol: float = 1e-9, cap: int = SET_FUNCTION_TABLE_CAP) -> bool:
-    return bool(_increment_inequalities(C, cap).max() <= tol)
+def is_supermodular(C: SetFunctionCost, tol: float = 1e-9) -> bool:
+    return bool(_increment_inequalities(C).max() <= tol)

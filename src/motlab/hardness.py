@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import random_marginals
 from .costs import (
+    SET_FUNCTION_TABLE_CAP,
     CostOracle,
     DeterminantCost,
     IonCost,
@@ -36,6 +37,9 @@ from .reduction import MotOracle, min_via_mot_approx, min_via_mot_exact
 from .tensors import MarginalSpec
 
 _BRUTE_CAP = 10**6
+
+# Random points x at which the chain solver is checked against the LP.
+_X_TRIALS = 3
 
 
 def _check(name: str, lhs, rhs, tol: float, passed: bool) -> dict:
@@ -161,11 +165,11 @@ def verify_determinant_min(points, variant: str = "neg_abs_det", seed=0) -> dict
     return _report(f"determinant[{variant}]", C, checks, seed)
 
 
-def verify_supermodular_dichotomy(G: UndirectedGraph, seed=0, x_trials: int = 3) -> dict:
+def verify_supermodular_dichotomy(G: UndirectedGraph, seed=0) -> dict:
     """Max-cut through the supermodular route vs brute force, plus the
     tractable submodular side on the cut function itself."""
     k = G.num_vertices
-    if k > 16:
+    if k > SET_FUNCTION_TABLE_CAP:
         raise ValueError(f"k={k} too large for subset enumeration")
     rng = np.random.default_rng(seed)
 
@@ -179,7 +183,7 @@ def verify_supermodular_dichotomy(G: UndirectedGraph, seed=0, x_trials: int = 3)
 
     cut_fn = SetFunctionCost(k=k, table=-neg_cut.with_table().table)
     checks.append(_flag("cut_function_is_submodular", is_submodular(cut_fn)))
-    for t in range(x_trials):
+    for t in range(_X_TRIALS):
         x = rng.random(k)
         chain = solve_submodular(cut_fn, x)
         lp = solve_lp(cut_fn, bernoulli_spec(x))
@@ -250,6 +254,12 @@ def _gap_h(params: dict, r):
     )
 
 
+def _gap_margins(h, n: int, s: float, kconst: float):
+    """Margins of inequalities (2) and (3) of ``check_gap_inequalities`` at
+    the values h of h(r): (K - s) - n^2 |h| and h - s."""
+    return (kconst - s) - n**2 * np.abs(h), h - s
+
+
 def check_gap_inequalities(
     params: dict, n_range, slack: float | None = None, grid: int = 1000, seed=None
 ) -> dict:
@@ -287,22 +297,15 @@ def check_gap_inequalities(
 
         radii = np.linspace(lo, max(hi, lo * (1 + 1e-9)), grid)
         h = _gap_h(params, radii)
-        m2 = (kconst - s) - n**2 * np.abs(h)
-        m3 = h - s
-        for margins in (m2, m3):
-            flips = np.flatnonzero(np.diff(margins > 0))
-            extra = []
-            for f in flips:
-                extra.append(np.linspace(radii[f], radii[f + 1], 50))
-            if extra:
-                fine = np.concatenate(extra)
-                hf = _gap_h(params, fine)
-                if margins is m2:
-                    margins_f = (kconst - s) - n**2 * np.abs(hf)
-                    m2 = np.concatenate([m2, margins_f])
-                else:
-                    m3 = np.concatenate([m3, hf - s])
-        checks.append(_le(f"ineq2[n={n}]: grid max of n^2|h(r)| <= K-s", float((n**2 * np.abs(_gap_h(params, radii))).max()), kconst - s))
+        refined = []
+        for which, m in enumerate(_gap_margins(h, n, s, kconst)):
+            flips = np.flatnonzero(np.diff(m > 0))
+            if flips.size:
+                fine = np.concatenate([np.linspace(radii[f], radii[f + 1], 50) for f in flips])
+                m = np.concatenate([m, _gap_margins(_gap_h(params, fine), n, s, kconst)[which]])
+            refined.append(m)
+        m2, m3 = refined
+        checks.append(_le(f"ineq2[n={n}]: grid max of n^2|h(r)| <= K-s", float((n**2 * np.abs(h)).max()), kconst - s))
         checks.append(_check(f"ineq2[n={n}]: refined min margin >= 0", float(m2.min()), 0.0, 0.0, bool(m2.min() >= 0)))
         checks.append(_check(f"ineq3[n={n}]: refined min of h(r)-s > 0", float(m3.min()), 0.0, 0.0, bool(m3.min() > 0)))
 

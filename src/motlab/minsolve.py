@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import CostOracle, TwoSatCost
 from .graphs import twosat_satisfying_assignment
-from .tensors import along, check_cap
+from .tensors import along
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,22 @@ def weighted_objective(C: CostOracle, p, J: np.ndarray) -> np.ndarray:
     return vals - p[np.arange(C.k), J].sum(axis=1)
 
 
-def objective_tensor(C: CostOracle, p, cap: int | None = None) -> np.ndarray:
-    """Dense tensor of the weighted objective f; requires n^k under the cap."""
-    check_cap(C.n, C.k, cap)
-    f = np.array(C.materialize(cap), dtype=float)
+def objective_tensor(C: CostOracle, p) -> np.ndarray:
+    """Dense tensor of the weighted objective f; requires n^k under $MOTLAB_DENSE_CAP."""
+    f = np.array(C.materialize(), dtype=float)
     p = as_weights(p, C.n, C.k)
     for i in range(C.k):
         f -= along(p[i], i, C.k)
     return f
 
 
-def min_bruteforce(C: CostOracle, p=None, cap: int | None = None) -> MinResult:
+def min_bruteforce(C: CostOracle, p=None) -> MinResult:
     """Exact minimum of the weighted objective by full enumeration.
 
     Ties break to the lexicographically smallest witness (the first argmin in
     row-major order).
     """
-    f = objective_tensor(C, p, cap)
+    f = objective_tensor(C, p)
     flat = int(np.argmin(f))
     witness = tuple(int(j) for j in np.unravel_index(flat, f.shape))
     # re-evaluate through the canonical per-tuple formula so the reported
@@ -73,10 +72,10 @@ def min_bruteforce(C: CostOracle, p=None, cap: int | None = None) -> MinResult:
     return MinResult(value=value, witness=witness)
 
 
-def min_objective_gap(C: CostOracle, p=None, cap: int | None = None) -> float:
+def min_objective_gap(C: CostOracle, p=None) -> float:
     """Smallest strictly positive spacing between distinct objective values
     (+inf when the objective is constant)."""
-    f = objective_tensor(C, p, cap)
+    f = objective_tensor(C, p)
     vals = np.unique(f.ravel())
     if len(vals) < 2:
         return float("inf")

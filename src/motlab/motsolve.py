@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .costs import CostOracle, SetFunctionCost, is_submodular
+from .costs import SET_FUNCTION_TABLE_CAP, CostOracle, SetFunctionCost, is_submodular
 from .minsolve import objective_tensor
 from .tensors import (
     CouplingTensor,
@@ -25,7 +25,6 @@ from .tensors import (
     MarginalSpec,
     all_index_tuples,
     along,
-    check_cap,
     mode_sum,
     others,
 )
@@ -257,21 +256,22 @@ class TransportLP:
     threads.
     """
 
-    def __init__(self, C: CostOracle, constrained, cap: int | None = None):
+    def __init__(self, C: CostOracle, constrained):
         constrained = tuple(constrained)
         if not constrained:
             raise ValueError("at least one constrained mode is required")
         if any(i < 0 or i >= C.k for i in constrained):
             raise ValueError(f"constrained mode out of range [0, {C.k})")
         n, k = C.n, C.k
-        total = check_cap(n, k, cap)
+        cost = C.materialize().ravel()  # checks the dense cap before any n^k allocation
+        total = cost.size
         self.n, self.k, self.constrained = n, k, constrained
         m = len(constrained)
         # CSC layout: column j holds row pos * n + j_i for each constrained mode i
         indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
         indices = (all_index_tuples(n, k)[:, constrained] + n * np.arange(m)).ravel().astype(np.int32)
         A = sp.csc_array((np.ones(indices.size), indices, indptr), shape=(n * m, total))
-        self._lp = HighsLP(C.materialize(cap).ravel(), A, np.zeros(n * m), np.zeros(total), "transport LP")
+        self._lp = HighsLP(cost, A, np.zeros(n * m), np.zeros(total), "transport LP")
         self._lock = threading.Lock()
 
     def _rhs(self, spec: MarginalSpec) -> np.ndarray:
@@ -322,7 +322,7 @@ class TransportLP:
         )
 
 
-def solve_lp(C: CostOracle, spec: MarginalSpec, cap: int | None = None) -> MotSolution:
+def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
     """Exact transport value by LP over all n^k entries (desk-scale backend).
 
     A one-shot ``TransportLP``: solved with HiGHS dual simplex, so the
@@ -332,12 +332,10 @@ def solve_lp(C: CostOracle, spec: MarginalSpec, cap: int | None = None) -> MotSo
     """
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
-    return TransportLP(C, spec.constrained, cap).solve(spec)
+    return TransportLP(C, spec.constrained).solve(spec)
 
 
-def sinkhorn(
-    C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig, cap: int | None = None
-) -> MotSolution:
+def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolution:
     """Multimarginal Sinkhorn scaling in the log domain.
 
     The iterate always has the Gibbs form exp(-eta C) rescaled along each
@@ -357,9 +355,7 @@ def sinkhorn(
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
     n, k = C.n, C.k
-    check_cap(n, k, cap)
-
-    cost = C.materialize(cap)
+    cost = C.materialize()
     log_P = -cfg.eta * cost - 1.0
     if spec.constrained:
         # constant shifts are absorbed by the first scaling update; keep the
@@ -407,7 +403,7 @@ def sinkhorn(
     ent = float(-(pos * np.log(pos)).sum())
     return MotSolution(
         value=lin - ent / cfg.eta,
-        coupling=CouplingTensor.from_dense(P, cap=cap),
+        coupling=CouplingTensor.from_dense(P),
         duals=None,
         backend="sinkhorn",
         converged=converged,
@@ -470,16 +466,14 @@ def bernoulli_spec(x) -> MarginalSpec:
     return MarginalSpec.fully_fixed([np.array([1.0 - xi, xi]) for xi in x])
 
 
-def solve_submodular(
-    C: SetFunctionCost, x, check: bool = True, cap: int = 16
-) -> MotSolution:
+def solve_submodular(C: SetFunctionCost, x, check: bool = True) -> MotSolution:
     """Polynomial transport solver for submodular set-function costs.
 
     The chain coupling of the extension formula is optimal exactly when the
-    cost is submodular, which is verified by enumeration when k is under the
-    brute cap (pass check=False to trust larger instances).
+    cost is submodular, which is verified by enumeration when k is at most
+    SET_FUNCTION_TABLE_CAP (pass check=False to trust larger instances).
     """
-    if check and C.k <= cap and not is_submodular(C, cap=cap):
+    if check and C.k <= SET_FUNCTION_TABLE_CAP and not is_submodular(C):
         raise ValueError("cost is not submodular; the chain coupling is not optimal")
     value = lovasz_extension(C, x)
     return MotSolution(
@@ -490,8 +484,6 @@ def solve_submodular(
     )
 
 
-def check_dual_feasibility(
-    C: CostOracle, duals: DualPotentials, tol: float = 1e-9, cap: int | None = None
-) -> bool:
+def check_dual_feasibility(C: CostOracle, duals: DualPotentials, tol: float = 1e-9) -> bool:
     """Enumerated feasibility of potentials: every slack C_j - sum_i p[i][j_i] >= -tol."""
-    return float(objective_tensor(C, duals.p, cap).min()) >= -tol
+    return float(objective_tensor(C, duals.p).min()) >= -tol

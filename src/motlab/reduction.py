@@ -28,6 +28,10 @@ from .tensors import CouplingTensor, MarginalSpec
 
 DEFAULT_TARGET_GAP = 1e-6
 
+# Annealing runs of min_via_mot_approx, and the vertices snapped from each.
+_RESTARTS = 3
+_SAMPLES_PER_RESTART = 6
+
 
 @dataclass(frozen=True)
 class OracleAnswer:
@@ -39,9 +43,9 @@ class OracleAnswer:
 class MotOracle:
     """Value oracle mu -> transport value with declared additive accuracy.
 
-    An exact oracle (accuracy 0) must answer with optimal dual potentials;
-    ``query`` raises ValueError when it does not.  The query counter is
-    shared across threads.
+    ``query`` counts and answers; the exact envelope path, which needs
+    optimal dual potentials, checks for them where it uses them.  The query
+    counter is shared across threads.
     """
 
     def __init__(self, fn, n: int, k: int, accuracy: float, c_max: float):
@@ -56,15 +60,12 @@ class MotOracle:
     def query(self, spec: MarginalSpec) -> OracleAnswer:
         with self._lock:
             self.queries += 1
-        ans = self._fn(spec)
-        if self.accuracy == 0.0 and ans.duals is None:
-            raise ValueError("an exact oracle must supply dual potentials")
-        return ans
+        return self._fn(spec)
 
     @classmethod
-    def exact_lp(cls, C: CostOracle, cap: int | None = None) -> "MotOracle":
+    def exact_lp(cls, C: CostOracle) -> "MotOracle":
         """Exact LP answers on fully fixed marginals, from one ``TransportLP``."""
-        lp = TransportLP(C, range(C.k), cap)
+        lp = TransportLP(C, range(C.k))
 
         def fn(spec):
             sol = lp.solve(spec)
@@ -73,7 +74,7 @@ class MotOracle:
         return cls(fn, C.n, C.k, 0.0, C.upper_bound())
 
     @classmethod
-    def noisy_lp(cls, C: CostOracle, eps: float, seed=None, cap: int | None = None) -> "MotOracle":
+    def noisy_lp(cls, C: CostOracle, eps: float, seed=None) -> "MotOracle":
         """Exact LP values on fully fixed marginals, corrupted by seeded
         uniform noise of magnitude eps (finite and >= 0).
 
@@ -83,7 +84,7 @@ class MotOracle:
         """
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
-        lp = TransportLP(C, range(C.k), cap)
+        lp = TransportLP(C, range(C.k))
         rng = np.random.default_rng(seed)
         lock = threading.Lock()
 
@@ -217,7 +218,8 @@ def minimize_envelope_exact(
     product simplex, giving both the next query point and a certified lower
     bound.  Terminates once best-seen value minus lower bound is within
     ``target_gap``; exhausting the iteration budget returns the best iterate
-    flagged uncertified.  The dimensions are the oracle's.
+    flagged uncertified.  The dimensions are the oracle's; an answer without
+    dual potentials, which give the cut, raises ValueError.
     """
     if target_gap <= 0:
         raise ValueError("target_gap must be positive")
@@ -241,6 +243,8 @@ def minimize_envelope_exact(
     while it < budget:
         it += 1
         point = envelope_value(oracle, p, MarginalSpec.fully_fixed(list(mu)))
+        if point.subgradient is None:
+            raise ValueError("an exact oracle must supply dual potentials")
         if point.value < best_val:
             best_val = point.value
             best_mu = mu
@@ -286,23 +290,17 @@ def purify(C: CostOracle, p, coupling: CouplingTensor) -> MinResult:
     return MinResult(value=float(best), witness=witness)
 
 
-def min_via_mot_exact(
-    C: CostOracle,
-    p=None,
-    cap: int | None = None,
-    target_gap: float = DEFAULT_TARGET_GAP,
-    max_iters: int = 600,
-) -> MinResult:
+def min_via_mot_exact(C: CostOracle, p=None) -> MinResult:
     """End-to-end exact tuple minimization through the transport oracle.
 
-    Purifies the optimal coupling at the best query of the cutting-plane
-    run.  ``gap`` is the witness value minus the master lower bound, so
+    Purifies the optimal coupling at the best query of a cutting-plane run
+    at ``minimize_envelope_exact``'s defaults.  ``gap`` is the witness value minus the master lower bound, so
     value - gap <= min f <= value (unclamped: roundoff can make it slightly
     negative); the witness is exact when gap is below the objective spacing.
     """
     p = as_weights(p, C.n, C.k)
-    oracle = MotOracle.exact_lp(C, cap=cap)
-    em = minimize_envelope_exact(oracle, p, target_gap=target_gap, max_iters=max_iters)
+    oracle = MotOracle.exact_lp(C)
+    em = minimize_envelope_exact(oracle, p)
     res = purify(C, p, em.coupling)
     return MinResult(
         value=res.value,
@@ -327,8 +325,6 @@ def min_via_mot_approx(
     eps: float | None = None,
     budget: int = 400,
     seed=0,
-    restarts: int = 3,
-    samples_per_restart: int = 6,
 ) -> ApproxMinResult:
     """Randomized tuple-minimum estimation from a noisy transport oracle.
 
@@ -358,8 +354,8 @@ def min_via_mot_approx(
         return mat
 
     polish_probes = 3 * (k * (n - 1) + (k * (k - 1) // 2) * (n - 1) ** 2)
-    reserve = restarts * (samples_per_restart + 1) + polish_probes
-    iters = max(10, (budget - reserve) // restarts - 1)
+    reserve = _RESTARTS * (_SAMPLES_PER_RESTART + 1) + polish_probes
+    iters = max(10, (budget - reserve) // _RESTARTS - 1)
     t_hi, t_lo = 0.5 * scale, max(eps_eff, 1e-3 * scale)
     r_hi, r_lo = 0.8, 0.08
 
@@ -369,7 +365,7 @@ def min_via_mot_approx(
     vertex_witness = None
     snapped: dict[tuple, float] = {}
 
-    for restart in range(restarts):
+    for restart in range(_RESTARTS):
         if restart == 0:
             mu = np.full((k, n), 1.0 / n)
         else:
@@ -393,7 +389,7 @@ def min_via_mot_approx(
                 mu, cur = prop, val
 
         candidates = {tuple(int(j) for j in np.argmax(local_mu, axis=1))}
-        for _ in range(samples_per_restart - 1):
+        for _ in range(_SAMPLES_PER_RESTART - 1):
             candidates.add(
                 tuple(int(rng.choice(n, p=row)) for row in local_mu)
             )

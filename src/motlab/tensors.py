@@ -25,21 +25,21 @@ DEFICIT_EPS = 1e-12
 
 
 class CapExceededError(ValueError):
-    """An operation would require more dense entries than the configured cap."""
+    """An operation would require more dense entries than $MOTLAB_DENSE_CAP allows."""
 
 
-def dense_cap(override: int | None = None) -> int:
-    """Dense-entry cap: explicit override, else $MOTLAB_DENSE_CAP, else 1e7."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("MOTLAB_DENSE_CAP")
-    return int(env) if env else DEFAULT_DENSE_CAP
+def check_cap(n: int, k: int) -> int:
+    """Return n**k if it fits under the dense-entry limit, else raise CapExceededError.
 
-
-def check_cap(n: int, k: int, cap: int | None = None) -> int:
-    """Return n**k if it fits under the dense cap, else raise CapExceededError."""
+    The limit is a deployment setting, $MOTLAB_DENSE_CAP, read on every call
+    (DEFAULT_DENSE_CAP when unset); every n^k allocation checks it here.
+    """
     total = n**k
-    limit = dense_cap(cap)
+    env = os.environ.get("MOTLAB_DENSE_CAP")
+    try:
+        limit = int(env) if env else DEFAULT_DENSE_CAP
+    except ValueError:
+        raise ValueError(f"MOTLAB_DENSE_CAP must be an integer, got {env!r}") from None
     if total > limit:
         raise CapExceededError(f"n^k = {n}^{k} = {total} exceeds dense cap {limit}")
     return total
@@ -60,7 +60,7 @@ class CouplingTensor:
 
     Sparse storage is a lexicographically sorted tuple of (index tuple, value)
     pairs with distinct indices and strictly positive values.  Dense storage is
-    only permitted while n^k fits under the dense cap.
+    only permitted while n^k fits under $MOTLAB_DENSE_CAP.
     """
 
     n: int
@@ -69,13 +69,13 @@ class CouplingTensor:
     entries: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
     @classmethod
-    def from_dense(cls, array: np.ndarray, cap: int | None = None) -> "CouplingTensor":
+    def from_dense(cls, array: np.ndarray) -> "CouplingTensor":
         array = np.asarray(array, dtype=float)
         k = array.ndim
         n = array.shape[0]
         if array.shape != (n,) * k:
             raise ValueError(f"expected cubical shape, got {array.shape}")
-        check_cap(n, k, cap)
+        check_cap(n, k)
         if array.size and array.min() < 0:
             raise ValueError(f"negative entry {array.min()} in coupling tensor")
         array = array.copy()
@@ -120,10 +120,10 @@ class CouplingTensor:
         idx = np.stack(np.unravel_index(nz, self.dense.shape), axis=1)
         return idx, flat[nz]
 
-    def to_dense(self, cap: int | None = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         if not self.is_sparse:
             return self.dense
-        check_cap(self.n, self.k, cap)
+        check_cap(self.n, self.k)
         out = np.zeros((self.n,) * self.k)
         for idx, val in self.entries:
             out[idx] += val
@@ -318,7 +318,7 @@ def inner_product(P: CouplingTensor, C) -> float:
     return float(np.dot(vals, C.evaluate_batch(idx)))
 
 
-def round_to_polytope(P: CouplingTensor, spec: MarginalSpec, cap: int | None = None) -> CouplingTensor:
+def round_to_polytope(P: CouplingTensor, spec: MarginalSpec) -> CouplingTensor:
     """Repair an almost-coupling so its marginals match a fully fixed spec exactly.
 
     Two stages: first each mode-i slice j is scaled by
@@ -337,7 +337,7 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec, cap: int | None = N
         raise ValueError(f"rounding requires total mass 1 +- {MASS_TOL}, got {mass}")
 
     k = P.k
-    arr = np.array(P.to_dense(cap))
+    arr = np.array(P.to_dense())
     for i in range(k):
         m = mode_sum(arr, i)
         mu = spec.marginals[i]
@@ -354,4 +354,4 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec, cap: int | None = N
         for d in deficits[1:]:
             corr = np.multiply.outer(corr, d)
         arr += corr / total ** (k - 1)
-    return CouplingTensor.from_dense(arr, cap=cap)
+    return CouplingTensor.from_dense(arr)

@@ -9,7 +9,8 @@ from motlab import cli
 from motlab.cli import EXIT_SCHEMA, main
 from motlab.corpus import random_cost, random_marginals
 from motlab.costs import LowRankCost
-from motlab.formats import save_instance, write_cnf, write_graph, write_kpartite
+from motlab.formats import load_instance, save_instance, write_cnf, write_graph, write_kpartite
+from motlab.minsolve import min_bruteforce
 
 
 @pytest.fixture()
@@ -124,6 +125,14 @@ def test_solve_min_approx_rejects_bad_noise(perm_instance, tmp_path, eps, monkey
     assert not out.exists()
 
 
+def test_solve_min_approx_zero_noise_answers(perm_instance, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["solve-min", str(perm_instance), "--via", "mot-approx", "--eps", "0", "--out", str(out)]
+    assert main(argv) == 0
+    best = min_bruteforce(load_instance(perm_instance).cost).value
+    assert abs(_read(out)["value"] - best) <= 1e-4
+
+
 def test_exit_cap_exceeded(tmp_path):
     n, k = 10, 9
     C = LowRankCost(n=n, k=k, terms=(tuple(np.ones(n) for _ in range(k)),))
@@ -136,6 +145,12 @@ def test_exit_cap_exceeded(tmp_path):
 def test_env_cap_override(perm_instance, monkeypatch):
     monkeypatch.setenv("MOTLAB_DENSE_CAP", "2")
     assert main(["solve-mot", str(perm_instance), "--backend", "lp"]) == 3
+
+
+def test_malformed_env_cap_exits_schema(perm_instance, monkeypatch, capsys):
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", "abc")
+    assert main(["solve-mot", str(perm_instance), "--backend", "lp"]) == EXIT_SCHEMA
+    assert "MOTLAB_DENSE_CAP" in capsys.readouterr().err
 
 
 def test_exit_nonconvergence(tmp_path):

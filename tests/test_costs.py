@@ -92,7 +92,7 @@ def test_materialize_zero_pairwise():
     assert np.allclose(C.materialize(), 0.0)
 
 
-def test_pairwise_materialize_matches_enumeration():
+def test_pairwise_materialize_matches_enumeration(monkeypatch):
     rng = np.random.default_rng(46)
     for n in (1, 2, 3, 7):
         for k in (2, 3, 6):
@@ -100,8 +100,9 @@ def test_pairwise_materialize_matches_enumeration():
             got, want = C.materialize(), CostOracle.materialize(C)
             assert got.shape == want.shape == (n,) * k
             assert np.array_equal(got, want)
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", str(7**6 - 1))
     with pytest.raises(CapExceededError):
-        C.materialize(cap=7**6 - 1)
+        C.materialize()
 
 
 def test_materialize_cap():

@@ -138,9 +138,9 @@ def test_exact_reduction_makes_no_hidden_work(monkeypatch):
         materialized = []
         real = type(C).materialize
 
-        def counted(self, cap=None, real=real):
+        def counted(self, real=real):
             materialized.append(1)
-            return real(self, cap)
+            return real(self)
 
         monkeypatch.setattr(type(C), "materialize", counted)
         res = min_via_mot_exact(C, p)
@@ -222,10 +222,11 @@ def test_exact_reduction_scale_covariance():
 
 def test_exact_oracle_requires_duals():
     oracle = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.0, c_max=1.0)
-    with pytest.raises(ValueError, match="dual potentials"):
-        oracle.query(MarginalSpec.point_masses(2, (0, 1)))
+    # a value-only accuracy-0 oracle answers; the cutting plane, which needs duals, refuses it
+    assert oracle.query(MarginalSpec.point_masses(2, (0, 1))).duals is None
     with pytest.raises(ValueError, match="dual potentials"):
         minimize_envelope_exact(oracle, None)
+    assert oracle.queries == 2
     # a noisy oracle may answer with values alone
     noisy = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.1, c_max=1.0)
     assert noisy.query(MarginalSpec.point_masses(2, (0, 1))).duals is None
@@ -249,7 +250,11 @@ def test_noisy_oracle_rejects_bad_noise(eps):
 
 
 def test_noisy_oracle_accepts_zero_noise():
-    assert MotOracle.noisy_lp(DenseCost(np.zeros((2, 2))), eps=0.0, seed=0).accuracy == 0.0
+    C = DenseCost(np.arange(4.0).reshape(2, 2))
+    oracle = MotOracle.noisy_lp(C, eps=0.0, seed=0)
+    assert oracle.accuracy == 0.0
+    spec = MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2)
+    assert oracle.query(spec).value == pytest.approx(solve_lp(C, spec).value, abs=1e-12)
 
 
 @pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
@@ -266,9 +271,9 @@ def test_noisy_reduction_makes_no_hidden_work(monkeypatch):
         materialized = []
         real = type(C).materialize
 
-        def counted(self, cap=None, real=real):
+        def counted(self, real=real):
             materialized.append(1)
-            return real(self, cap)
+            return real(self)
 
         monkeypatch.setattr(type(C), "materialize", counted)
         models.clear()
@@ -375,9 +380,9 @@ def test_exact_oracle_reuses_one_model(monkeypatch):
     built = []
 
     class CountingLP(TransportLP):
-        def __init__(self, C, constrained, cap=None):
+        def __init__(self, C, constrained):
             built.append(tuple(constrained))
-            super().__init__(C, constrained, cap)
+            super().__init__(C, constrained)
 
     monkeypatch.setattr(reduction, "TransportLP", CountingLP)
     rng = np.random.default_rng(41)
@@ -427,8 +432,6 @@ def test_minimize_envelope_rejects_max_iters_below_one():
         with pytest.raises(ValueError, match="max_iters"):
             minimize_envelope_exact(oracle, None, max_iters=bad)
     assert oracle.queries == 0
-    with pytest.raises(ValueError, match="max_iters"):
-        min_via_mot_exact(C, max_iters=0)
 
 
 def test_minimize_envelope_lower_bound_history():

@@ -7,15 +7,27 @@ from motlab import (
     CapExceededError,
     CouplingTensor,
     DenseCost,
+    DualPotentials,
+    LowRankCost,
     MarginalSpec,
+    MotOracle,
+    PairwiseCost,
+    SinkhornConfig,
+    TransportLP,
+    check_dual_feasibility,
     entropy,
     inner_product,
     is_coupling,
     marginal,
+    min_bruteforce,
+    min_via_mot_exact,
+    motsolve,
     round_to_polytope,
+    sinkhorn,
+    solve_lp,
 )
 from motlab.corpus import random_dense, random_marginals
-from motlab.tensors import marginal_matrix, mode_sum, others
+from motlab.tensors import check_cap, marginal_matrix, mode_sum, others
 
 
 def random_sparse_coupling(rng, n, k, m):
@@ -189,6 +201,58 @@ def test_dense_cap_enforced():
     arr = np.zeros((10,) * 8)  # 1e8 entries would exceed the default cap
     with pytest.raises(CapExceededError):
         CouplingTensor.from_dense(arr)
+
+
+# Every public entry point that holds n^k entries as one array, on n^k = 8.
+_N, _K = 2, 3
+_SPEC = MarginalSpec.fully_fixed([np.array([0.25, 0.75])] * _K)
+_PAIRWISE = PairwiseCost(
+    n=_N, k=_K, tables={(i, j): np.eye(_N) for i in range(_K) for j in range(i + 1, _K)}
+)
+_DENSE_CAP_ENTRY_POINTS = {
+    "CostOracle.materialize": lambda: LowRankCost(n=_N, k=_K, terms=((np.ones(_N),) * _K,)).materialize(),
+    "DenseCost.materialize": lambda: DenseCost(np.zeros((_N,) * _K)).materialize(),
+    "PairwiseCost.materialize": lambda: _PAIRWISE.materialize(),
+    "CouplingTensor.from_dense": lambda: CouplingTensor.from_dense(np.zeros((_N,) * _K)),
+    "CouplingTensor.to_dense": lambda: CouplingTensor.point_mass(_N, (0, 1, 1)).to_dense(),
+    "round_to_polytope": lambda: round_to_polytope(CouplingTensor.point_mass(_N, (0, 1, 1)), _SPEC),
+    "min_bruteforce": lambda: min_bruteforce(_PAIRWISE),
+    "check_dual_feasibility": lambda: check_dual_feasibility(_PAIRWISE, DualPotentials(np.zeros((_K, _N)))),
+    "TransportLP": lambda: TransportLP(_PAIRWISE, range(_K)),
+    "solve_lp": lambda: solve_lp(_PAIRWISE, _SPEC),
+    "sinkhorn": lambda: sinkhorn(_PAIRWISE, _SPEC, SinkhornConfig(eta=1.0)),
+    "MotOracle.exact_lp": lambda: MotOracle.exact_lp(_PAIRWISE),
+    "MotOracle.noisy_lp": lambda: MotOracle.noisy_lp(_PAIRWISE, eps=0.1, seed=0),
+    "min_via_mot_exact": lambda: min_via_mot_exact(_PAIRWISE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DENSE_CAP_ENTRY_POINTS))
+def test_dense_cap_boundary(entry, monkeypatch):
+    call = _DENSE_CAP_ENTRY_POINTS[entry]
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K))
+    call()
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K - 1))
+    with pytest.raises(CapExceededError):
+        call()
+
+
+def test_transport_lp_checks_the_cap_before_enumerating(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated the n^k index tuples before checking the cap")
+
+    monkeypatch.setattr(motsolve, "all_index_tuples", enumerated)
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K - 1))
+    with pytest.raises(CapExceededError):
+        TransportLP(_PAIRWISE, range(_K))
+
+
+@pytest.mark.parametrize("value", ["abc", "1e7"])
+def test_malformed_dense_cap_names_the_variable(value, monkeypatch):
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", value)
+    with pytest.raises(ValueError, match="MOTLAB_DENSE_CAP") as err:
+        check_cap(2, 2)
+    assert not isinstance(err.value, CapExceededError)
 
 
 def test_sparse_entries_sorted_and_distinct():
