@@ -14,7 +14,6 @@ import numpy as np
 
 from motlab import (
     CnfFormula,
-    MarginalSpec,
     MotOracle,
     build_twosat_cost,
     envelope_value,
@@ -35,7 +34,7 @@ C = random_cost(rng, "dense", n, k)
 p = rng.normal(size=(k, n))
 oracle = MotOracle.exact_lp(C)
 
-vertex = MarginalSpec.point_masses(n, (1, 2, 0))
+vertex = np.eye(n)[[1, 2, 0]]  # the oracle takes a (k, n) array: row i is mode i's marginal
 print("envelope at a vertex equals the raw objective:")
 print(f"  F(point mass)  = {envelope_value(oracle, p, vertex).value:.6f}")
 print(f"  f(1,2,0)       = {C.evaluate((1, 2, 0)) - p[0][1] - p[1][2] - p[2][0]:.6f}")

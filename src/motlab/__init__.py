@@ -23,7 +23,6 @@ from .graphs import CnfFormula, KPartiteGraph, UndirectedGraph, twosat_satisfyin
 from .minsolve import (
     MinResult,
     min_bruteforce,
-    min_objective_gap,
     twosat_min_zero,
     weighted_objective,
 )

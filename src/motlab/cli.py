@@ -129,6 +129,9 @@ def _run_solve_min(args) -> tuple[int, dict]:
             gap=res.gap,
         )
     elif args.via == "mot-approx":
+        for flag, count in (("--budget", args.budget), ("--trials", args.trials)):
+            if count < 1:
+                raise formats.SchemaError(f"{flag} must be at least 1, got {count}")
         oracle = MotOracle.noisy_lp(inst.cost, eps=args.eps, seed=args.seed)
         values = []
         for t in range(args.trials):

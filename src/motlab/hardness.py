@@ -34,8 +34,10 @@ from .graphs import CnfFormula, KPartiteGraph, UndirectedGraph
 from .minsolve import min_bruteforce, twosat_min_zero
 from .motsolve import TransportLP, bernoulli_spec, solve_lp, solve_submodular
 from .reduction import MotOracle, min_via_mot_approx, min_via_mot_exact
-from .tensors import MarginalSpec
 
+# The verifiers' own n^k limit, below $MOTLAB_DENSE_CAP's 10^7: check_cap guards
+# vectorized arrays, while the independent oracles here loop over itertools
+# tuples in Python, with Python work per tuple (that slowdown is not measured).
 _BRUTE_CAP = 10**6
 
 # Random points x at which the chain solver is checked against the LP.
@@ -369,11 +371,9 @@ def lipschitz_experiment(C: CostOracle, trials: int = 100, seed: int = 0) -> dic
     lp = TransportLP(C, range(C.k))
     worst = 0.0
     for _ in range(trials):
-        mu = random_marginals(rng, C.n, C.k)
-        nu = random_marginals(rng, C.n, C.k)
-        dv = abs(
-            lp.value(MarginalSpec.fully_fixed(mu)) - lp.value(MarginalSpec.fully_fixed(nu))
-        )
+        mu = np.array(random_marginals(rng, C.n, C.k))
+        nu = np.array(random_marginals(rng, C.n, C.k))
+        dv = abs(lp.value(mu) - lp.value(nu))
         dmu = sum(float(np.abs(a - b).sum()) for a, b in zip(mu, nu))
         if dmu > 0:
             worst = max(worst, dv / dmu)

@@ -247,6 +247,8 @@ class TransportLP:
     constrained mode; only the right-hand side (the marginals) changes
     between queries.  The cost is materialized and the column-wise constraint
     matrix built once, into one ``HighsLP`` that every query reuses.
+    A query's marginals are an (m, n) array, row r for mode ``constrained[r]``;
+    only its shape is checked, and every row must lie on the simplex.
     ``solve`` starts cold and returns the basic solution a one-shot
     ``linprog`` call would, bit for bit, so its coupling and duals never
     depend on an earlier query.  ``value`` returns the optimal value alone,
@@ -274,30 +276,27 @@ class TransportLP:
         self._lp = HighsLP(cost, A, np.zeros(n * m), np.zeros(total), "transport LP")
         self._lock = threading.Lock()
 
-    def _rhs(self, spec: MarginalSpec) -> np.ndarray:
-        """The equality right-hand side for ``spec``, once it fits this LP."""
-        if (self.n, self.k) != (spec.n, spec.k):
-            raise ValueError("dimension mismatch between cost and marginal spec")
-        if spec.constrained != self.constrained:
-            raise ValueError(
-                f"spec constrains modes {spec.constrained}, this LP was built for {self.constrained}"
-            )
-        return np.concatenate(spec.marginals)
+    def _rhs(self, mu) -> np.ndarray:
+        """The equality right-hand side for the marginals ``mu``, once they fit this LP."""
+        mu, want = np.asarray(mu, dtype=float), (len(self.constrained), self.n)
+        if mu.shape != want:
+            raise ValueError(f"dimension mismatch: marginals of shape {mu.shape}, this LP was built for {want}")
+        return mu.ravel()
 
-    def value(self, spec: MarginalSpec) -> float:
-        """Optimal value for ``spec``, warm-started from the last query."""
-        b = self._rhs(spec)
+    def value(self, mu) -> float:
+        """Optimal value for the marginals ``mu``, warm-started from the last query."""
+        b = self._rhs(mu)
         with self._lock:
             self._lp.set_rhs(b)
             return self._lp.value()
 
-    def solve(self, spec: MarginalSpec) -> MotSolution:
-        """Optimal value, basic coupling and dual potentials for ``spec``.
+    def solve(self, mu) -> MotSolution:
+        """Optimal value, basic coupling and dual potentials for the marginals ``mu``.
 
         Unconstrained modes get zero potentials; the coupling is a basic
         solution (support at most the constraint-matrix rank).
         """
-        b = self._rhs(spec)
+        b = self._rhs(mu)
         with self._lock:
             self._lp.set_rhs(b)
             x, fun, y, nit = self._lp.solve()
@@ -305,12 +304,9 @@ class TransportLP:
         n, k = self.n, self.k
         keep = np.flatnonzero(x > _SUPPORT_EPS)
         idx = np.stack(np.unravel_index(keep, (n,) * k), axis=1)
-        coupling = CouplingTensor.from_entries(
-            n, k, [(tuple(row), float(x[flat])) for row, flat in zip(idx, keep)]
-        )
+        coupling = CouplingTensor.from_support(n, k, idx, x[keep])
         p = np.zeros((k, n))
-        for pos, i in enumerate(self.constrained):
-            p[i] = y[pos * n : (pos + 1) * n]
+        p[list(self.constrained)] = y.reshape(-1, n)  # one length-n block per constrained mode
 
         return MotSolution(
             value=float(fun),
@@ -332,7 +328,7 @@ def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
     """
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
-    return TransportLP(C, spec.constrained).solve(spec)
+    return TransportLP(C, spec.constrained).solve(np.array(spec.marginals))
 
 
 def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolution:
@@ -447,17 +443,11 @@ def chain_coupling(k: int, x) -> CouplingTensor:
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     order = _descending_order(x)
-    entries = []
-    if 1.0 - x[order[0]] > 0:
-        entries.append(((0,) * k, 1.0 - x[order[0]]))
-    active = [0] * k
-    for t in range(k):
-        active[int(order[t])] = 1
-        nxt = x[order[t + 1]] if t + 1 < k else 0.0
-        mass = x[order[t]] - nxt
-        if mass > 0:
-            entries.append((tuple(active), float(mass)))
-    return CouplingTensor.from_entries(2, k, entries)
+    # row t is the indicator of the t largest coordinates, with mass x_(t) - x_(t+1)
+    sets = np.tril(np.ones((k + 1, k), dtype=np.int64), -1)[:, np.argsort(order)]
+    xs = np.concatenate([[1.0], x[order], [0.0]])
+    mass = xs[:-1] - xs[1:]
+    return CouplingTensor.from_support(2, k, sets[mass > 0], mass[mass > 0])
 
 
 def bernoulli_spec(x) -> MarginalSpec:

@@ -24,7 +24,7 @@ import numpy as np
 from .costs import CostOracle
 from .minsolve import MinResult, as_weights, weighted_objective
 from .motsolve import HighsLP, TransportLP
-from .tensors import CouplingTensor, MarginalSpec
+from .tensors import CouplingTensor
 
 DEFAULT_TARGET_GAP = 1e-6
 
@@ -57,18 +57,19 @@ class MotOracle:
         self.queries = 0
         self._lock = threading.Lock()
 
-    def query(self, spec: MarginalSpec) -> OracleAnswer:
+    def query(self, mu: np.ndarray) -> OracleAnswer:
+        """Answer at mu, a (k, n) array whose rows must lie on the simplex (unchecked)."""
         with self._lock:
             self.queries += 1
-        return self._fn(spec)
+        return self._fn(mu)
 
     @classmethod
     def exact_lp(cls, C: CostOracle) -> "MotOracle":
         """Exact LP answers on fully fixed marginals, from one ``TransportLP``."""
         lp = TransportLP(C, range(C.k))
 
-        def fn(spec):
-            sol = lp.solve(spec)
+        def fn(mu):
+            sol = lp.solve(mu)
             return OracleAnswer(value=sol.value, duals=sol.duals.p, coupling=sol.coupling)
 
         return cls(fn, C.n, C.k, 0.0, C.upper_bound())
@@ -88,8 +89,8 @@ class MotOracle:
         rng = np.random.default_rng(seed)
         lock = threading.Lock()
 
-        def fn(spec):
-            value = lp.value(spec)
+        def fn(mu):
+            value = lp.value(mu)
             with lock:
                 noise = rng.uniform(-eps, eps)
             return OracleAnswer(value=value + noise)
@@ -99,25 +100,28 @@ class MotOracle:
 
 @dataclass(frozen=True)
 class EnvelopePoint:
-    mu: MarginalSpec
+    mu: np.ndarray
     value: float
     subgradient: np.ndarray | None
     coupling: CouplingTensor | None
 
 
-def envelope_value(oracle: MotOracle, p, mu: MarginalSpec) -> EnvelopePoint:
+def envelope_value(oracle: MotOracle, p, mu) -> EnvelopePoint:
     """F(mu) = -sum_i <p_i, mu_i> + oracle value, with subgradient and coupling when available.
 
-    The transport value is the maximum of linear functions <., mu> over dual
-    feasible potentials, so optimal potentials minus p form a subgradient of F.
+    ``mu`` is a (k, n) array whose rows must lie on the simplex; only its shape
+    is checked.  The transport value is the maximum of linear functions
+    <., mu> over dual feasible potentials, so optimal potentials minus p form
+    a subgradient of F.
     """
-    if not mu.is_fully_fixed:
-        raise ValueError("envelope evaluation needs fully fixed marginals")
-    p = as_weights(p, mu.n, mu.k)
+    k, n, mu = oracle.k, oracle.n, np.asarray(mu, dtype=float)
+    if mu.shape != (k, n):
+        raise ValueError(f"envelope evaluation needs a ({k}, {n}) array of marginals, got shape {mu.shape}")
+    p = as_weights(p, n, k)
     ans = oracle.query(mu)
     # Per-mode dots accumulated exactly like the per-tuple objective, so the
     # vertex identity F(point mass at j) = f(j) holds bitwise.
-    dots = np.array([p[i] @ mu.marginals[i] for i in range(mu.k)])
+    dots = np.array([p[i] @ mu[i] for i in range(k)])
     value = float(ans.value - dots.sum())
     sub = ans.duals - p if ans.duals is not None else None
     return EnvelopePoint(mu=mu, value=value, subgradient=sub, coupling=ans.coupling)
@@ -242,7 +246,7 @@ def minimize_envelope_exact(
     it = 0
     while it < budget:
         it += 1
-        point = envelope_value(oracle, p, MarginalSpec.fully_fixed(list(mu)))
+        point = envelope_value(oracle, p, mu)
         if point.subgradient is None:
             raise ValueError("an exact oracle must supply dual potentials")
         if point.value < best_val:
@@ -334,8 +338,12 @@ def min_via_mot_approx(
     are snapped to a few candidate vertices (per-mode argmax plus samples) and
     re-queried, and the smallest value seen anywhere is returned.  Every
     reported value is a noisy evaluation of the envelope, so it can undershoot
-    the true minimum by at most the oracle accuracy.
+    the true minimum by at most the oracle accuracy.  At most ``budget``
+    (>= 1) queries are made: annealing, snapping and polishing each stop once
+    it is spent, and the result is then flagged ``budget_exhausted``.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n, k = oracle.n, oracle.k
     p = as_weights(p, n, k)
     rng = np.random.default_rng(seed)
@@ -346,12 +354,10 @@ def min_via_mot_approx(
     def score(mu_mat: np.ndarray) -> float:
         nonlocal used
         used += 1
-        return envelope_value(oracle, p, MarginalSpec.fully_fixed(list(mu_mat))).value
+        return envelope_value(oracle, p, mu_mat).value
 
     def vertex_mu(jvec) -> np.ndarray:
-        mat = np.zeros((k, n))
-        mat[np.arange(k), list(jvec)] = 1.0
-        return mat
+        return np.eye(n)[list(jvec)]
 
     polish_probes = 3 * (k * (n - 1) + (k * (k - 1) // 2) * (n - 1) ** 2)
     reserve = _RESTARTS * (_SAMPLES_PER_RESTART + 1) + polish_probes
@@ -364,8 +370,16 @@ def min_via_mot_approx(
     vertex_val = math.inf
     vertex_witness = None
     snapped: dict[tuple, float] = {}
+    exhausted = False
+
+    def spent() -> bool:
+        nonlocal exhausted
+        exhausted = used >= budget
+        return exhausted
 
     for restart in range(_RESTARTS):
+        if spent():
+            break
         if restart == 0:
             mu = np.full((k, n), 1.0 / n)
         else:
@@ -375,6 +389,8 @@ def min_via_mot_approx(
         if cur < best_val:
             best_val, best_mu = cur, mu
         for t in range(iters):
+            if spent():
+                break
             frac = t / max(iters - 1, 1)
             temp = t_hi * (t_lo / t_hi) ** frac
             rad = r_hi * (r_lo / r_hi) ** frac
@@ -394,6 +410,8 @@ def min_via_mot_approx(
                 tuple(int(rng.choice(n, p=row)) for row in local_mu)
             )
         for jvec in sorted(candidates):
+            if spent():
+                break
             val = score(vertex_mu(jvec))
             if val < snapped.get(jvec, math.inf):
                 snapped[jvec] = val
@@ -405,10 +423,7 @@ def min_via_mot_approx(
     # escape single-swap local minima.  With an exact oracle each probe is an
     # exact objective value, so this finishes the job whenever annealing found
     # a competitive basin.
-    exhausted = False
-
     def _sweep(cur, cur_val, pairs: bool):
-        nonlocal exhausted
         improved = False
         moves = (
             [(i, i2) for i in range(k) for i2 in range(i + 1, k)] if pairs
@@ -421,8 +436,7 @@ def min_via_mot_approx(
                 for b in range(n) if pairs else (None,):
                     if pairs and b == cur[i2]:
                         continue
-                    if used >= budget:
-                        exhausted = True
+                    if spent():
                         return cur, cur_val, improved
                     cand = list(cur)
                     cand[i] = a

@@ -58,15 +58,17 @@ def all_index_tuples(n: int, k: int, lo: int = 0, hi: int | None = None) -> np.n
 class CouplingTensor:
     """A nonnegative k-mode tensor over [n]^k, dense or sparse.
 
-    Sparse storage is a lexicographically sorted tuple of (index tuple, value)
-    pairs with distinct indices and strictly positive values.  Dense storage is
-    only permitted while n^k fits under $MOTLAB_DENSE_CAP.
+    Sparse storage is a read-only (m, k) int64 ``index`` of distinct tuples in
+    lexicographic order and an (m,) ``values`` array of strictly positive
+    entries.  Dense storage is only permitted while n^k fits under
+    $MOTLAB_DENSE_CAP.
     """
 
     n: int
     k: int
     dense: np.ndarray | None = None
-    entries: tuple[tuple[tuple[int, ...], float], ...] | None = None
+    index: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CouplingTensor":
@@ -83,38 +85,39 @@ class CouplingTensor:
         return cls(n=n, k=k, dense=array)
 
     @classmethod
-    def from_entries(cls, n: int, k: int, entries) -> "CouplingTensor":
-        norm = []
-        for idx, val in entries:
-            idx = tuple(int(j) for j in idx)
-            if len(idx) != k or any(j < 0 or j >= n for j in idx):
-                raise ValueError(f"index {idx} out of range for n={n}, k={k}")
-            val = float(val)
-            if val <= 0:
-                raise ValueError(f"sparse entry at {idx} must be positive, got {val}")
-            norm.append((idx, val))
-        norm.sort(key=lambda e: e[0])
-        for a, b in zip(norm, norm[1:]):
-            if a[0] == b[0]:
-                raise ValueError(f"duplicate sparse index {a[0]}")
-        return cls(n=n, k=k, entries=tuple(norm))
+    def from_support(cls, n: int, k: int, index, values) -> "CouplingTensor":
+        """Sparse tensor with entry values[r] at tuple index[r], an (m, k)
+        array; the tuples must be in range and distinct, the values positive."""
+        index, values = np.asarray(index, dtype=np.int64), np.asarray(values, dtype=float)
+        if values.ndim != 1 or index.shape != (len(values), k):
+            raise ValueError(f"index of shape {index.shape} and values of shape {values.shape} are not (m, {k}) and (m,)")
+        bad = ((index < 0) | (index >= n)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"index {tuple(index[bad][0].tolist())} out of range for n={n}, k={k}")
+        if (values <= 0).any():
+            r = int(np.argmax(values <= 0))
+            raise ValueError(f"sparse entry at {tuple(index[r].tolist())} must be positive, got {values[r]}")
+        order = np.lexsort(index.T[::-1])
+        index, values = index[order], values[order]
+        dup = (index[1:] == index[:-1]).all(axis=1)
+        if dup.any():
+            raise ValueError(f"duplicate sparse index {tuple(index[1:][dup][0].tolist())}")
+        index.setflags(write=False)
+        values.setflags(write=False)
+        return cls(n=n, k=k, index=index, values=values)
 
     @classmethod
     def point_mass(cls, n: int, jvec) -> "CouplingTensor":
-        return cls.from_entries(n, len(tuple(jvec)), [(tuple(jvec), 1.0)])
+        return cls.from_support(n, len(jvec), [jvec], [1.0])
 
     @property
     def is_sparse(self) -> bool:
-        return self.entries is not None
+        return self.index is not None
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(m, k) index array and (m,) value array of the nonzero entries."""
         if self.is_sparse:
-            if not self.entries:
-                return np.zeros((0, self.k), dtype=np.int64), np.zeros(0)
-            idx = np.array([e[0] for e in self.entries], dtype=np.int64)
-            vals = np.array([e[1] for e in self.entries])
-            return idx, vals
+            return self.index, self.values
         flat = self.dense.ravel()
         nz = np.flatnonzero(flat)
         idx = np.stack(np.unravel_index(nz, self.dense.shape), axis=1)
@@ -125,19 +128,14 @@ class CouplingTensor:
             return self.dense
         check_cap(self.n, self.k)
         out = np.zeros((self.n,) * self.k)
-        for idx, val in self.entries:
-            out[idx] += val
+        out[tuple(self.index.T)] = self.values
         return out
 
     def total_mass(self) -> float:
-        if self.is_sparse:
-            return float(sum(v for _, v in self.entries))
-        return float(self.dense.sum())
+        return float((self.values if self.is_sparse else self.dense).sum())
 
     def nnz(self) -> int:
-        if self.is_sparse:
-            return len(self.entries)
-        return int(np.count_nonzero(self.dense))
+        return len(self.values) if self.is_sparse else int(np.count_nonzero(self.dense))
 
 
 @dataclass(frozen=True)
@@ -263,11 +261,7 @@ def marginal(P: CouplingTensor, i: int) -> np.ndarray:
     if i < 0 or i >= P.k:
         raise ValueError(f"mode index {i} out of range for k={P.k}")
     if P.is_sparse:
-        out = np.zeros(P.n)
-        idx, vals = P.support()
-        if len(vals):
-            np.add.at(out, idx[:, i], vals)
-        return out
+        return np.bincount(P.index[:, i], weights=P.values, minlength=P.n)
     return P.dense.sum(axis=others(i, P.k))
 
 
@@ -281,10 +275,8 @@ def is_coupling(P: CouplingTensor, spec: MarginalSpec, tol: float = MEMBERSHIP_T
     entries are nonnegative up to -tol."""
     if (P.n, P.k) != (spec.n, spec.k):
         raise ValueError(f"dimension mismatch: tensor ({P.n},{P.k}) vs spec ({spec.n},{spec.k})")
-    if P.is_sparse:
-        if P.entries and min(v for _, v in P.entries) < -tol:
-            return False
-    elif P.dense.size and P.dense.min() < -tol:
+    vals = P.values if P.is_sparse else P.dense
+    if vals.size and vals.min() < -tol:
         return False
     for i, mu in zip(spec.constrained, spec.marginals):
         if np.abs(marginal(P, i) - mu).sum() > tol:

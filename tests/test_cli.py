@@ -125,6 +125,23 @@ def test_solve_min_approx_rejects_bad_noise(perm_instance, tmp_path, eps, monkey
     assert not out.exists()
 
 
+def test_solve_mot_rejects_marginals_off_the_simplex(perm_instance, capsys):
+    doc = _read(perm_instance)
+    doc["marginals"]["values"][0] = ["1.1", "-0.1"]
+    perm_instance.write_text(json.dumps(doc))
+    assert main(["solve-mot", str(perm_instance), "--backend", "lp"]) == EXIT_SCHEMA
+    assert "negative entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--trials"])
+def test_solve_min_approx_rejects_counts_below_one(perm_instance, tmp_path, flag, capsys):
+    out = tmp_path / "r.json"
+    argv = ["solve-min", str(perm_instance), "--via", "mot-approx", flag, "0", "--out", str(out)]
+    assert main(argv) == EXIT_SCHEMA
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_min_approx_zero_noise_answers(perm_instance, tmp_path):
     out = tmp_path / "r.json"
     argv = ["solve-min", str(perm_instance), "--via", "mot-approx", "--eps", "0", "--out", str(out)]

@@ -96,6 +96,12 @@ def test_schema_errors():
         parse_instance(
             {"n": 2, "k": 2, "cost": {"family": "dense", "entries": [["x", "1"], ["1", "0"]]}}
         )
+    # a marginal off the simplex is refused where the instance enters
+    with pytest.raises(SchemaError, match="bad marginals block.*sums to"):
+        parse_instance(
+            {"n": 2, "k": 2, "cost": {"family": "dense", "entries": [["0", "1"], ["1", "0"]]},
+             "marginals": {"constrained": [1, 2], "values": [["0.45", "0.45"], ["0.5", "0.5"]]}}
+        )
     # two_sat clause too wide
     with pytest.raises(SchemaError):
         parse_instance(

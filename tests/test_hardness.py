@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from motlab import CnfFormula, KPartiteGraph, UndirectedGraph
+from motlab import CnfFormula, KPartiteGraph, UndirectedGraph, hardness
 from motlab.corpus import random_ions, random_kpartite, random_twosat
 from motlab.costs import DenseCost, build_twosat_cost
 from motlab.hardness import (
@@ -133,6 +133,18 @@ def test_twosat_dichotomy_reports():
     assert {c["name"]: c for c in unsat["checks"]}[
         "weighted_brute_equals_assignment_enumeration"
     ]["rhs"] == 0.0
+
+
+def test_twosat_dichotomy_refuses_past_the_brute_cap(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated 2^20 assignments past the brute-force cap")
+
+    monkeypatch.setattr(hardness, "twosat_min_zero", enumerated)
+    monkeypatch.setattr(hardness, "min_bruteforce", enumerated)
+    cnf = CnfFormula(20, tuple((v, -(v % 20 + 1)) for v in range(1, 21)))
+    assert 2**20 > hardness._BRUTE_CAP
+    with pytest.raises(ValueError, match="too large for brute verification"):
+        verify_twosat_dichotomy(cnf)
 
 
 def test_twosat_dichotomy_random():

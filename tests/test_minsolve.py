@@ -10,12 +10,12 @@ from motlab import (
     build_clique_tensor,
     build_twosat_cost,
     min_bruteforce,
-    min_objective_gap,
     twosat_min_zero,
     weighted_objective,
 )
 from motlab.corpus import random_cost, random_twosat
 from motlab.graphs import KPartiteGraph, twosat_satisfying_assignment
+from motlab.minsolve import min_objective_gap
 
 TRIANGLE = KPartiteGraph(
     n=2, k=3, edges=(((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 0), (2, 0)))

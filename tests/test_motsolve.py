@@ -145,6 +145,11 @@ def _lp_specs(rng, n, k):
     ]
 
 
+def _rows(spec):
+    """A spec's marginals as the (m, n) array ``TransportLP`` takes."""
+    return np.array(spec.marginals)
+
+
 def _same_lp_solution(a, b):
     return (
         a.value == b.value
@@ -228,9 +233,9 @@ def test_transport_lp_reuse_matches_one_shot_solves():
     lp = TransportLP(C, range(4))
     specs = _lp_specs(rng, 2, 4)[:3] * 2
     for spec in specs:
-        assert _same_lp_solution(lp.solve(spec), solve_lp(C, spec))
+        assert _same_lp_solution(lp.solve(_rows(spec)), solve_lp(C, spec))
     with pytest.raises(ValueError, match="built for"):
-        lp.solve(_lp_specs(rng, 2, 4)[3])
+        lp.solve(_rows(_lp_specs(rng, 2, 4)[3]))
 
 
 ALL_FAMILIES = ("dense", "dense_integer", "low_rank", "pairwise", "determinant",
@@ -273,7 +278,7 @@ def test_warm_values_match_cold_solves():
     for family, C, specs in _value_corpus(rng):
         warm, cold = TransportLP(C, range(C.k)), TransportLP(C, range(C.k))
         for spec in specs:
-            value, expected = warm.value(spec), cold.solve(spec).value
+            value, expected = warm.value(_rows(spec)), cold.solve(_rows(spec)).value
             assert _close_to_cold(value, expected), (family, spec.marginals, value, expected)
             count += 1
     assert count == 10 * 10 * 40
@@ -284,14 +289,23 @@ def test_interleaved_values_leave_solves_cold():
     for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=12):
         lp = TransportLP(C, range(C.k))
         for spec in specs:
-            value = lp.value(spec)
-            sol = lp.solve(spec)
+            value = lp.value(_rows(spec))
+            sol = lp.solve(_rows(spec))
             assert _same_lp_solution(sol, solve_lp(C, spec)), family
             assert _close_to_cold(value, sol.value), family
     with pytest.raises(ValueError, match="built for"):
-        lp.value(MarginalSpec.partial(C.n, C.k, {0: specs[0].marginals[0]}))
+        lp.value(_rows(MarginalSpec.partial(C.n, C.k, {0: specs[0].marginals[0]})))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        lp.value(MarginalSpec.point_masses(C.n + 1, (0,) * C.k))
+        lp.value(_rows(MarginalSpec.point_masses(C.n + 1, (0,) * C.k)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (9,), (3, 3, 1)])
+def test_transport_lp_rejects_a_wrongly_shaped_point(shape):
+    lp = TransportLP(random_cost(np.random.default_rng(38), "dense", 3, 3), range(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lp.value(np.full(shape, 1.0 / 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lp.solve(np.full(shape, 1.0 / 3))
 
 
 def test_value_without_private_bindings_is_the_linprog_value(monkeypatch):
@@ -301,7 +315,7 @@ def test_value_without_private_bindings_is_the_linprog_value(monkeypatch):
     for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=8):
         lp = TransportLP(C, range(C.k))
         for spec in specs:
-            assert lp.value(spec) == solve_lp(C, spec).value, family
+            assert lp.value(_rows(spec)) == solve_lp(C, spec).value, family
     assert len(linprog_calls) == 2 * 10 * 8
 
 
@@ -326,16 +340,16 @@ def test_value_reruns_cold_after_a_non_optimal_warm_run():
     C = random_cost(rng, "pairwise", 3, 3)
     specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(2)]
     lp = TransportLP(C, range(3))
-    lp.value(specs[0])
+    lp.value(_rows(specs[0]))
     model = lp._lp._highs = _NotOptimalAtFirst(lp._lp._highs, bad=1)
-    assert lp.value(specs[1]) == solve_lp(C, specs[1]).value
+    assert lp.value(_rows(specs[1])) == solve_lp(C, specs[1]).value
     runs = [i for i, name in enumerate(model.calls) if name == "run"]
     assert len(runs) == 2 and model.calls.count("clearSolver") == 1
     assert model.calls[runs[0] + 1 : runs[1]] == ["getModelStatus", "clearSolver"]
 
     lp._lp._highs = _NotOptimalAtFirst(model._highs, bad=2)
     with pytest.raises(RuntimeError, match="transport LP failed: HiGHS model status"):
-        lp.value(specs[0])
+        lp.value(_rows(specs[0]))
 
 
 @pytest.mark.parametrize("private_bindings", [True, False])
@@ -554,7 +568,8 @@ def test_solve_submodular_examples():
     assert sol.value == 0.5
     zero = solve_submodular(SUB_EXAMPLE, [0.0, 0.0])
     assert zero.value == SUB_EXAMPLE.value_of_set(0)
-    assert zero.coupling.entries == (((0, 0), 1.0),)
+    idx, vals = zero.coupling.support()
+    assert idx.tolist() == [[0, 0]] and vals.tolist() == [1.0]
 
 
 def test_solve_submodular_rejects_supermodular():

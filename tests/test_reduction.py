@@ -31,6 +31,7 @@ from motlab import (
 )
 from motlab.corpus import random_cost, random_marginals
 from motlab.graphs import KPartiteGraph, UndirectedGraph
+from motlab.hardness import lipschitz_experiment, report_passed
 from motlab.reduction import OracleAnswer, project_rows_to_simplex
 from motlab.tensors import CouplingTensor
 
@@ -46,7 +47,7 @@ def test_envelope_vertex_identity_full_enumeration():
         p = rng.normal(size=(k, n))
         oracle = MotOracle.exact_lp(C)
         for j in itertools.product(range(n), repeat=k):
-            point = envelope_value(oracle, p, MarginalSpec.point_masses(n, j))
+            point = envelope_value(oracle, p, np.eye(n)[list(j)])
             f = float(weighted_objective(C, p, np.asarray([j]))[0])
             assert point.value == f
 
@@ -58,13 +59,13 @@ def test_envelope_zero_weights_is_transport_value():
     mu = MarginalSpec.fully_fixed(random_marginals(rng, 2, 2))
     from motlab import solve_lp
 
-    assert envelope_value(oracle, None, mu).value == solve_lp(C, mu).value
+    assert envelope_value(oracle, None, np.array(mu.marginals)).value == solve_lp(C, mu).value
 
 
 def test_envelope_worked_permutation_instance():
     C = DenseCost(np.array([[0.0, 1.0], [1.0, 0.0]]))
     oracle = MotOracle.exact_lp(C)
-    mu = MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2)
+    mu = np.full((2, 2), 0.5)
     assert abs(envelope_value(oracle, None, mu).value) <= 1e-12
 
 
@@ -74,11 +75,11 @@ def test_subgradient_inequality_random_pairs():
     p = rng.normal(size=(3, 3))
     oracle = MotOracle.exact_lp(C)
     for _ in range(60):
-        a = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
-        b = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
+        a = np.stack(random_marginals(rng, 3, 3))
+        b = np.stack(random_marginals(rng, 3, 3))
         pa = envelope_value(oracle, p, a)
         pb = envelope_value(oracle, p, b)
-        gap = np.stack(b.marginals) - np.stack(a.marginals)
+        gap = b - a
         assert pb.value >= pa.value + float(np.sum(pa.subgradient * gap)) - 1e-6
 
 
@@ -105,7 +106,7 @@ def test_purify_point_mass():
     rng = np.random.default_rng(4)
     C = random_cost(rng, "dense", 3, 2)
     oracle = MotOracle.exact_lp(C)
-    coupling = oracle.query(MarginalSpec.point_masses(3, (1, 2))).coupling
+    coupling = oracle.query(np.eye(3)[[1, 2]]).coupling
     res = purify(C, None, coupling)
     assert res.witness == (1, 2)
     assert res.value == C.evaluate((1, 2))
@@ -170,7 +171,7 @@ def test_kept_coupling_matches_requery_and_certifies_gap():
         oracle = MotOracle.exact_lp(C)
         em = minimize_envelope_exact(oracle, p)
         kept = purify(C, p, em.coupling)
-        fresh = purify(C, p, oracle.query(MarginalSpec.fully_fixed(list(em.mu))).coupling)
+        fresh = purify(C, p, oracle.query(em.mu).coupling)
         assert (kept.value, kept.witness) == (fresh.value, fresh.witness), family
         res = min_via_mot_exact(C, p)
         assert (res.value, res.witness) == (kept.value, kept.witness), family
@@ -223,13 +224,13 @@ def test_exact_reduction_scale_covariance():
 def test_exact_oracle_requires_duals():
     oracle = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.0, c_max=1.0)
     # a value-only accuracy-0 oracle answers; the cutting plane, which needs duals, refuses it
-    assert oracle.query(MarginalSpec.point_masses(2, (0, 1))).duals is None
+    assert oracle.query(np.eye(2)).duals is None
     with pytest.raises(ValueError, match="dual potentials"):
         minimize_envelope_exact(oracle, None)
     assert oracle.queries == 2
     # a noisy oracle may answer with values alone
     noisy = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.1, c_max=1.0)
-    assert noisy.query(MarginalSpec.point_masses(2, (0, 1))).duals is None
+    assert noisy.query(np.eye(2)).duals is None
 
 
 def test_approx_reduction_exact_oracle_degenerates():
@@ -254,7 +255,7 @@ def test_noisy_oracle_accepts_zero_noise():
     oracle = MotOracle.noisy_lp(C, eps=0.0, seed=0)
     assert oracle.accuracy == 0.0
     spec = MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2)
-    assert oracle.query(spec).value == pytest.approx(solve_lp(C, spec).value, abs=1e-12)
+    assert oracle.query(np.array(spec.marginals)).value == pytest.approx(solve_lp(C, spec).value, abs=1e-12)
 
 
 @pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
@@ -262,7 +263,7 @@ def test_noisy_reduction_makes_no_hidden_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the noisy oracle built a coupling or ran a cold solve")
 
-    monkeypatch.setattr(CouplingTensor, "from_entries", forbidden)
+    monkeypatch.setattr(CouplingTensor, "from_support", forbidden)
     monkeypatch.setattr(TransportLP, "solve", forbidden)
     models = _record_models(monkeypatch, motsolve)
     rng = np.random.default_rng(51)
@@ -284,6 +285,45 @@ def test_noisy_reduction_makes_no_hidden_work(monkeypatch):
         # one warm run per query: the solver is never cleared
         assert models[0].count("run") == oracle.queries, family
         assert "clearSolver" not in models[0], family
+
+
+@pytest.mark.parametrize("budget", [1, 5, 20, 45])
+def test_approx_reduction_keeps_to_its_budget(budget):
+    C = random_cost(np.random.default_rng(53), "dense", 3, 3)
+    oracle = MotOracle.noisy_lp(C, eps=0.01, seed=0)
+    res = min_via_mot_approx(oracle, eps=0.01, budget=budget, seed=0)
+    assert res.queries <= budget and res.budget_exhausted
+    assert math.isfinite(res.value)
+
+
+def test_approx_reduction_rejects_budget_below_one():
+    oracle = MotOracle.noisy_lp(DenseCost(np.arange(4.0).reshape(2, 2)), eps=0.01, seed=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            min_via_mot_approx(oracle, budget=bad)
+    assert oracle.queries == 0
+
+
+def test_oracle_path_builds_no_marginal_spec(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a MarginalSpec was built on the oracle path")
+
+    monkeypatch.setattr(MarginalSpec, "__post_init__", forbidden)
+    rng = np.random.default_rng(54)
+    C = random_cost(rng, "dense", 3, 3)
+    p = rng.normal(size=(3, 3))
+    assert abs(min_via_mot_exact(C, p).value - min_bruteforce(C, p).value) <= 1e-6
+    oracle = MotOracle.noisy_lp(C, eps=0.01, seed=1)
+    assert min_via_mot_approx(oracle, p, eps=0.01, budget=120, seed=1).queries == oracle.queries > 0
+    assert report_passed(lipschitz_experiment(C, trials=10, seed=0))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (1, 3, 3)])
+def test_envelope_rejects_a_wrongly_shaped_point(shape):
+    oracle = MotOracle.exact_lp(random_cost(np.random.default_rng(55), "dense", 3, 3))
+    with pytest.raises(ValueError, match=r"\(3, 3\) array of marginals"):
+        envelope_value(oracle, None, np.full(shape, 1.0 / 3))
+    assert oracle.queries == 0
 
 
 def test_approx_reduction_constant_cost_with_noise():
@@ -363,8 +403,8 @@ def test_row_projection_matches_per_row_reference_bitwise():
 def test_query_counting():
     C = DenseCost(np.zeros((2, 2)))
     oracle = MotOracle.exact_lp(C)
-    envelope_value(oracle, None, MarginalSpec.point_masses(2, (0, 0)))
-    envelope_value(oracle, None, MarginalSpec.point_masses(2, (1, 1)))
+    envelope_value(oracle, None, np.eye(2)[[0, 0]])
+    envelope_value(oracle, None, np.eye(2)[[1, 1]])
     assert oracle.queries == 2
 
 
@@ -391,12 +431,12 @@ def test_exact_oracle_reuses_one_model(monkeypatch):
     A = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
     B = MarginalSpec.point_masses(3, (2, 0, 1))
     for spec in (A, B, A):
-        assert _same_answer(oracle.query(spec), solve_lp(C, spec))
+        assert _same_answer(oracle.query(np.array(spec.marginals)), solve_lp(C, spec))
     assert built == [(0, 1, 2)]
     partial = MarginalSpec.partial(3, 3, {0: A.marginals[0], 2: A.marginals[2]})
     with pytest.raises(ValueError, match="built for"):
-        oracle.query(partial)
-    assert _same_answer(oracle.query(A), solve_lp(C, A))
+        oracle.query(np.array(partial.marginals))
+    assert _same_answer(oracle.query(np.array(A.marginals)), solve_lp(C, A))
     assert built == [(0, 1, 2)]
 
     specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(12)] + [B]
@@ -406,7 +446,7 @@ def test_exact_oracle_reuses_one_model(monkeypatch):
     def worker(slot):
         order = range(len(specs)) if slot % 2 == 0 else reversed(range(len(specs)))
         for i in order:
-            answers[slot][i] = oracle.query(specs[i])
+            answers[slot][i] = oracle.query(np.array(specs[i].marginals))
 
     threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
@@ -454,7 +494,7 @@ def _oracle_cuts(rng, family, n, k, count):
     cuts = []
     for _ in range(count):
         mu = np.stack(random_marginals(rng, n, k))
-        point = envelope_value(oracle, p, MarginalSpec.fully_fixed(list(mu)))
+        point = envelope_value(oracle, p, mu)
         g = point.subgradient.ravel()
         cuts.append((g, point.value - float(g @ mu.ravel())))
     return cuts

@@ -35,7 +35,7 @@ def random_sparse_coupling(rng, n, k, m):
     flats = rng.choice(total, size=min(m, total), replace=False)
     idx = np.stack(np.unravel_index(flats, (n,) * k), axis=1)
     vals = rng.random(len(flats)) + 0.05
-    return CouplingTensor.from_entries(n, k, [(tuple(r), v) for r, v in zip(idx, vals)])
+    return CouplingTensor.from_support(n, k, idx, vals)
 
 
 def test_marginal_point_mass():
@@ -256,10 +256,55 @@ def test_malformed_dense_cap_names_the_variable(value, monkeypatch):
 
 
 def test_sparse_entries_sorted_and_distinct():
-    P = CouplingTensor.from_entries(2, 2, [((1, 0), 0.5), ((0, 1), 0.5)])
-    assert P.entries[0][0] == (0, 1)
+    P = CouplingTensor.from_support(2, 2, [(1, 0), (0, 1)], [0.5, 0.5])
+    assert P.support()[0][0].tolist() == [0, 1]
     with pytest.raises(ValueError):
-        CouplingTensor.from_entries(2, 2, [((0, 0), 0.5), ((0, 0), 0.5)])
+        CouplingTensor.from_support(2, 2, [(0, 0), (0, 0)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "index, values, message",
+    [
+        ([(0, 2)], [1.0], "out of range"),
+        ([(0, -1)], [1.0], "out of range"),
+        ([(0, 1), (1, 0)], [0.5, 0.0], "must be positive"),
+        ([(1, 1), (0, 1), (1, 1)], [0.2, 0.3, 0.5], "duplicate sparse index"),
+        ([(0, 1, 0)], [1.0], "shape"),
+        ([(0, 1)], [0.5, 0.5], "shape"),
+    ],
+)
+def test_from_support_rejects_bad_entries(index, values, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingTensor.from_support(2, 2, index, values)
+
+
+def test_from_support_stores_sorted_read_only_arrays():
+    rng = np.random.default_rng(60)
+    P = random_sparse_coupling(rng, 3, 4, 30)
+    idx, vals = P.support()
+    assert idx.dtype == np.int64 and idx.shape == (30, 4) and vals.shape == (30,)
+    assert [tuple(r) for r in idx.tolist()] == sorted(tuple(r) for r in idx.tolist())
+    assert not idx.flags.writeable and not vals.flags.writeable
+    dense = P.to_dense()
+    assert np.array_equal(dense[tuple(idx.T)], vals) and np.count_nonzero(dense) == P.nnz() == 30
+
+
+# (constrained, marginals) pairs on n = k = 2 that MarginalSpec must refuse
+_BAD_MARGINALS = {
+    "negative entry": ((0, 1), ([1.1, -0.1], [0.5, 0.5]), "negative entry"),
+    "sum 0.9": ((0, 1), ([0.45, 0.45], [0.5, 0.5]), "sums to"),
+    "wrong length": ((0, 1), ([1.0], [0.5, 0.5]), "shape"),
+    "duplicate mode": ((0, 0), ([0.5, 0.5], [0.5, 0.5]), "duplicate"),
+    "unsorted modes": ((1, 0), ([0.5, 0.5], [0.5, 0.5]), "sorted"),
+    "mode out of range": ((0, 2), ([0.5, 0.5], [0.5, 0.5]), "out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MARGINALS))
+def test_marginal_spec_rejects_malformed_marginals(case):
+    constrained, marginals, message = _BAD_MARGINALS[case]
+    with pytest.raises(ValueError, match=message):
+        MarginalSpec(n=2, k=2, constrained=constrained, marginals=tuple(np.array(m) for m in marginals))
 
 
 def test_marginal_matrix_shape():
