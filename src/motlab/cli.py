@@ -202,6 +202,8 @@ def _run_verify(args) -> tuple[int, dict]:
             params, _parse_n_range(args.n), seed=args.seed
         )
     elif kind == "lipschitz":
+        if args.trials < 1:
+            raise formats.SchemaError(f"--trials must be at least 1, got {args.trials}")
         inst = formats.load_instance(args.inputs[0])
         report = hardness.lipschitz_experiment(inst.cost, trials=args.trials, seed=args.seed or 0)
     else:

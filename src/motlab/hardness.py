@@ -365,7 +365,10 @@ def verify_twosat_dichotomy(cnf: CnfFormula, seed=None) -> dict:
 
 
 def lipschitz_experiment(C: CostOracle, trials: int = 100, seed: int = 0) -> dict:
-    """Sampled transport-value ratios |dV| / |dmu|_1 against the 2 c_max bound."""
+    """Sampled transport-value ratios |dV| / |dmu|_1 against the 2 c_max bound,
+    over ``trials`` pairs of marginals (at least 1)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     bound = 2.0 * C.upper_bound()
     lp = TransportLP(C, range(C.k))

@@ -8,6 +8,7 @@ modes are matched, the rest of the coupling is free.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -29,8 +30,23 @@ from .tensors import (
     others,
 )
 
+_log = logging.getLogger("motlab")
+
 # LP entries below this are treated as outside the basic support.
 _SUPPORT_EPS = 1e-12
+
+# Dual feasibility tolerance: of check_dual_feasibility, and of the pricing
+# step that ends column generation.
+_DUAL_TOL = 1e-9
+
+# Transport LPs of at least this many columns (n^k) start from a restricted
+# master and grow it by column generation; smaller ones hand HiGHS every
+# column.  Measured with one-shot solve_lp on a 2-core VM (mean of 20
+# instances, full LP -> column generation): 2^9 7.5 -> 4.1 ms and 2^10
+# 15.8 -> 5.0 ms, but 4^4 3.1 -> 3.7 ms and 3^5 3.1 -> 3.5 ms; and on the
+# tiny LPs of the noisy oracle (at most 27 columns) column generation cost
+# 35% of min_noisy's ops/s.
+_CG_MIN_COLUMNS = 512
 
 # Sinkhorn sums a slice of exp(log_P) directly only while the sum is at least
 # this.  Each exp landing below the smallest normal double, 2^-1022, is off by
@@ -78,14 +94,16 @@ class HighsLP:
     ``A_eq`` is a dense array or a CSC array with int32 indices; ``what``
     names the LP in error messages.
     One HiGHS model on scipy's private bindings, with the one option set, is
-    built with the equality rows; ``set_rhs`` changes their bounds in place
-    and ``add_row`` appends to it.  Every ``solve`` clears the solver before
-    it runs, so its x and duals depend only on the rows as they stand, never
-    on an earlier basis.  ``value`` asks for the optimal value alone and
-    starts from the basis the last run left: the value of an LP does not
-    depend on which optimal basis is found, so only its roundoff can differ
-    from a cold run.  Both are checked as linprog checks its result.
-    Without the private bindings both call ``linprog`` on the same rows.
+    built with the equality rows; ``set_rhs`` changes their bounds in place,
+    ``add_row`` appends a row and ``add_cols`` columns x >= 0.  Every
+    ``solve`` clears the solver before it runs, so its x and duals depend
+    only on the LP as it stands, never on an earlier basis.  ``resolve``
+    returns the same but starts from the basis the last run left, and
+    ``value`` asks for the optimal value alone, also warm: the value of an
+    LP does not depend on which optimal basis is found, so only its roundoff
+    can differ from a cold run.  All are checked as linprog checks its
+    result.  Without the private bindings all call ``linprog`` on the same
+    LP.
     """
 
     def __init__(self, c, A_eq, b_eq, col_lower, what: str):
@@ -136,6 +154,23 @@ class HighsLP:
             cols = np.flatnonzero(a)
             self._highs.addRow(-np.inf, float(upper), cols.size, cols.astype(np.int32), a[cols])
 
+    def add_cols(self, c, data, indices, indptr) -> None:
+        """Add columns x >= 0 with costs ``c`` and equality-row entries in
+        CSC form, int32 ``indices`` and ``indptr``; added rows hold zeros there."""
+        count = len(c)
+        self._col_lower = np.concatenate([self._col_lower, np.zeros(count)])
+        if self._highs is None:
+            self._c = np.concatenate([self._c, c])
+            A_eq = sp.csc_array((data, indices, indptr), shape=(self._m, count))
+            self._A_eq = sp.hstack([self._A_eq, A_eq], format="csc")
+            self._rows = [np.concatenate([a, np.zeros(count)]) for a in self._rows]
+            return
+        status = self._highs.addCols(
+            count, c, np.zeros(count), np.full(count, np.inf), len(data), indptr[:-1], indices, data
+        )
+        if status == _core.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the {self.what} columns")
+
     def solve(self):
         """Cold-start solve: x, the objective value, the equality-row duals
         and the iteration count.  Raises RuntimeError naming the LP, with
@@ -143,27 +178,41 @@ class HighsLP:
         if self._highs is None:
             res = self._linprog()
             return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
-        highs = self._highs
-        highs.clearSolver()
-        highs.run()
-        x, solution = self._checked_solution()
-        info = highs.getInfo()
-        y = np.array(solution.row_dual[: self._m])
-        return x, info.objective_function_value, y, info.simplex_iteration_count
+        self._highs.clearSolver()
+        self._highs.run()
+        return self._result()
+
+    def resolve(self):
+        """What ``solve`` returns, warm-started from the last basis as
+        ``value`` is; raises as ``solve`` does."""
+        if self._highs is None:
+            return self.solve()
+        self._warm_run()
+        return self._result()
 
     def value(self) -> float:
-        """The checked optimal value, warm-started from the last basis; a run
-        that does not end optimal is cleared and run once more from cold.
+        """The checked optimal value, warm-started from the last basis.
         Raises as ``solve`` does."""
         if self._highs is None:
             return float(self._linprog().fun)
+        self._warm_run()
+        self._checked_solution()
+        return float(self._highs.getInfo().objective_function_value)
+
+    def _warm_run(self) -> None:
+        """Run from the last basis; a run that does not end optimal is
+        cleared and run once more from cold."""
         highs = self._highs
         highs.run()
         if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
             highs.clearSolver()
             highs.run()
-        self._checked_solution()
-        return float(highs.getInfo().objective_function_value)
+
+    def _result(self):
+        x, solution = self._checked_solution()
+        info = self._highs.getInfo()
+        y = np.array(solution.row_dual[: self._m])
+        return x, info.objective_function_value, y, info.simplex_iteration_count
 
     def _checked_solution(self):
         """x and the solution of the last run, once its status is optimal and
@@ -245,15 +294,30 @@ class TransportLP:
 
     Column j has cost C_j and a unit coefficient in one equality row per
     constrained mode; only the right-hand side (the marginals) changes
-    between queries.  The cost is materialized and the column-wise constraint
-    matrix built once, into one ``HighsLP`` that every query reuses.
-    A query's marginals are an (m, n) array, row r for mode ``constrained[r]``;
-    only its shape is checked, and every row must lie on the simplex.
+    between queries.  The cost is materialized once, and one ``HighsLP``
+    serves every query.  A query's marginals are an (m, n) array, row r for
+    mode ``constrained[r]``; only its shape is checked, and every row must
+    lie on the simplex.
+
+    Below ``_CG_MIN_COLUMNS`` columns (n^k) the LP holds every column.
     ``solve`` starts cold and returns the basic solution a one-shot
     ``linprog`` call would, bit for bit, so its coupling and duals never
     depend on an earlier query.  ``value`` returns the optimal value alone,
     warm-started from the previous query's basis: it agrees with ``solve``
     up to roundoff and skips both the cold start and building the coupling.
+
+    From ``_CG_MIN_COLUMNS`` columns on, the LP is a restricted master that
+    column generation grows and every query keeps.  A query adds the
+    multimarginal north-west-corner tuples of its marginals, runs the master
+    (``solve`` clears the solver first, ``value`` and every later run start
+    from the last basis), and prices every tuple with the reduced cost
+    C - sum_r y_r[j_constrained[r]] under the row duals y.  Up to n k of the
+    most negative tuples not yet held are added, until none is below
+    -``_DUAL_TOL``.  The duals are then feasible for the full LP, a
+    certificate that is checked over every tuple before the answer is
+    returned: the value is the full LP's up to roundoff, but the basic
+    solution may be another optimal one.
+
     Queries are serialized by a lock, so one instance may be shared across
     threads.
     """
@@ -265,30 +329,112 @@ class TransportLP:
         if any(i < 0 or i >= C.k for i in constrained):
             raise ValueError(f"constrained mode out of range [0, {C.k})")
         n, k = C.n, C.k
-        cost = C.materialize().ravel()  # checks the dense cap before any n^k allocation
-        total = cost.size
+        self._cost = C.materialize()  # checks the dense cap before any n^k allocation
         self.n, self.k, self.constrained = n, k, constrained
+        total = self._cost.size
+        if total < _CG_MIN_COLUMNS:
+            self._held = None
+            self._cols = np.arange(total)
+            tuples = all_index_tuples(n, k)
+        else:
+            self._held = np.zeros(total, dtype=bool)  # tuples in the master, by flat index
+            self._cols = np.zeros(0, dtype=np.int64)
+            tuples = np.zeros((0, k), dtype=np.int64)
+        # self._cols[c] is the flat index of the tuple in master column c
         m = len(constrained)
-        # CSC layout: column j holds row pos * n + j_i for each constrained mode i
-        indptr = np.arange(0, m * total + 1, m, dtype=np.int32)
-        indices = (all_index_tuples(n, k)[:, constrained] + n * np.arange(m)).ravel().astype(np.int32)
-        A = sp.csc_array((np.ones(indices.size), indices, indptr), shape=(n * m, total))
-        self._lp = HighsLP(cost, A, np.zeros(n * m), np.zeros(total), "transport LP")
+        A = sp.csc_array(self._columns(tuples), shape=(n * m, len(tuples)))
+        self._lp = HighsLP(self._cost.ravel()[self._cols], A, np.zeros(n * m), np.zeros(self._cols.size),
+                           "transport LP")
         self._lock = threading.Lock()
 
-    def _rhs(self, mu) -> np.ndarray:
-        """The equality right-hand side for the marginals ``mu``, once they fit this LP."""
+    def _columns(self, tuples):
+        """Constraint columns of the (c, k) index tuples as CSC (data, indices,
+        indptr): column j has a one in row r * n + tuples[j, constrained[r]]
+        for each constrained mode."""
+        m = len(self.constrained)
+        indptr = np.arange(0, m * len(tuples) + 1, m, dtype=np.int32)
+        indices = (tuples[:, self.constrained] + self.n * np.arange(m)).ravel().astype(np.int32)
+        return np.ones(indices.size), indices, indptr
+
+    def _checked(self, mu) -> np.ndarray:
+        """The marginals ``mu`` as a float array, once their shape fits this LP."""
         mu, want = np.asarray(mu, dtype=float), (len(self.constrained), self.n)
         if mu.shape != want:
             raise ValueError(f"dimension mismatch: marginals of shape {mu.shape}, this LP was built for {want}")
-        return mu.ravel()
+        return mu
+
+    def _add(self, flat) -> None:
+        """Add to the master the tuples of the distinct flat indices ``flat``, none of them held."""
+        if flat.size == 0:
+            return
+        self._held[flat] = True
+        self._cols = np.concatenate([self._cols, flat])
+        tuples = np.stack(np.unravel_index(flat, self._cost.shape), axis=1)
+        self._lp.add_cols(self._cost.ravel()[flat], *self._columns(tuples))
+
+    def _nw_corner(self, mu) -> np.ndarray:
+        """Flat indices of the multimarginal north-west-corner tuples of
+        ``mu``, at most m(n - 1) + 1 of them; unconstrained modes take 0.
+
+        Walking t up from 0, each constrained mode moves on to its next entry
+        once t reaches the cumulative sum of its marginal; each stretch of t
+        between two such steps is one tuple, and the stretches' lengths make
+        a coupling on these tuples."""
+        cum = np.cumsum(mu, axis=1)
+        starts = np.unique(np.append(cum[:, :-1], 0.0))
+        starts = starts[starts < 1.0]
+        tuples = np.zeros((starts.size, self.k), dtype=np.int64)
+        for row, i in zip(cum, self.constrained):
+            tuples[:, i] = np.searchsorted(row, starts, side="right")
+        np.minimum(tuples, self.n - 1, out=tuples)  # a row summing to just under 1
+        return np.unique(np.ravel_multi_index(tuple(tuples.T), self._cost.shape))
+
+    def _reduced_costs(self, y) -> np.ndarray:
+        """C - sum_r y_r along mode constrained[r], flat; the same arithmetic
+        as ``check_dual_feasibility`` on the potentials of y."""
+        y = y.reshape(-1, self.n)
+        red = self._cost - along(y[0], self.constrained[0], self.k)
+        for i, y_i in zip(self.constrained[1:], y[1:]):
+            red -= along(y_i, i, self.k)
+        return red.ravel()
+
+    def _generate(self, mu, first_run):
+        """Column generation for the marginals ``mu``, already set as the
+        right-hand side; ``first_run`` runs the master first.  Returns what
+        a ``HighsLP`` run does, with the iterations summed over all runs."""
+        corner = self._nw_corner(mu)
+        self._add(corner[~self._held[corner]])
+        run, rounds, nit = first_run, 0, 0
+        width = self.n * self.k
+        while True:
+            x, fun, y, it = run()
+            run = self._lp.resolve
+            rounds, nit = rounds + 1, nit + it
+            red = self._reduced_costs(y)
+            new = np.flatnonzero(red < -_DUAL_TOL)
+            new = new[~self._held[new]]
+            if new.size == 0:
+                break
+            if new.size > width:
+                new = np.sort(new[np.argpartition(red[new], width)[:width]])
+            self._add(new)
+        worst = float(red.min())
+        if worst < -_DUAL_TOL:
+            raise RuntimeError(
+                f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} below -{_DUAL_TOL:g}"
+            )
+        _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
+                   self._lp.what, rounds, self._cols.size, nit)
+        return x, fun, y, nit
 
     def value(self, mu) -> float:
         """Optimal value for the marginals ``mu``, warm-started from the last query."""
-        b = self._rhs(mu)
+        mu = self._checked(mu)
         with self._lock:
-            self._lp.set_rhs(b)
-            return self._lp.value()
+            self._lp.set_rhs(mu.ravel())
+            if self._held is None:
+                return self._lp.value()
+            return float(self._generate(mu, self._lp.resolve)[1])
 
     def solve(self, mu) -> MotSolution:
         """Optimal value, basic coupling and dual potentials for the marginals ``mu``.
@@ -296,15 +442,20 @@ class TransportLP:
         Unconstrained modes get zero potentials; the coupling is a basic
         solution (support at most the constraint-matrix rank).
         """
-        b = self._rhs(mu)
+        mu = self._checked(mu)
+        b = mu.ravel()
         with self._lock:
             self._lp.set_rhs(b)
-            x, fun, y, nit = self._lp.solve()
+            if self._held is None:
+                x, fun, y, nit = self._lp.solve()
+            else:
+                x, fun, y, nit = self._generate(mu, self._lp.solve)
+            support = x > _SUPPORT_EPS
+            flat = self._cols[support]
 
         n, k = self.n, self.k
-        keep = np.flatnonzero(x > _SUPPORT_EPS)
-        idx = np.stack(np.unravel_index(keep, (n,) * k), axis=1)
-        coupling = CouplingTensor.from_support(n, k, idx, x[keep])
+        idx = np.stack(np.unravel_index(flat, (n,) * k), axis=1)
+        coupling = CouplingTensor.from_support(n, k, idx, x[support])
         p = np.zeros((k, n))
         p[list(self.constrained)] = y.reshape(-1, n)  # one length-n block per constrained mode
 
@@ -474,6 +625,6 @@ def solve_submodular(C: SetFunctionCost, x, check: bool = True) -> MotSolution:
     )
 
 
-def check_dual_feasibility(C: CostOracle, duals: DualPotentials, tol: float = 1e-9) -> bool:
+def check_dual_feasibility(C: CostOracle, duals: DualPotentials, tol: float = _DUAL_TOL) -> bool:
     """Enumerated feasibility of potentials: every slack C_j - sum_i p[i][j_i] >= -tol."""
     return float(objective_tensor(C, duals.p).min()) >= -tol

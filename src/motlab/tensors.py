@@ -9,7 +9,7 @@ plain value: construction validates, and no operation mutates its inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,14 @@ def all_index_tuples(n: int, k: int, lo: int = 0, hi: int | None = None) -> np.n
     return np.stack(np.unravel_index(flat, (n,) * k), axis=1)
 
 
+def _equal_fields(self, other):
+    """Value equality for the dataclasses here, whose fields hold arrays: the
+    same type and every field equal under ``np.array_equal``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class CouplingTensor:
     """A nonnegative k-mode tensor over [n]^k, dense or sparse.
@@ -69,6 +77,8 @@ class CouplingTensor:
     dense: np.ndarray | None = None
     index: np.ndarray | None = None
     values: np.ndarray | None = None
+
+    __eq__ = _equal_fields
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CouplingTensor":
@@ -152,6 +162,8 @@ class MarginalSpec:
     constrained: tuple[int, ...]
     marginals: tuple[np.ndarray, ...]
 
+    __eq__ = _equal_fields
+
     def __post_init__(self):
         if self.k <= 0 or self.n <= 0:
             raise ValueError("n and k must be positive")
@@ -216,6 +228,8 @@ class DualPotentials:
     """
 
     p: np.ndarray
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)

@@ -142,6 +142,14 @@ def test_solve_min_approx_rejects_counts_below_one(perm_instance, tmp_path, flag
     assert not out.exists()
 
 
+def test_verify_lipschitz_rejects_zero_trials(perm_instance, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify", "lipschitz", str(perm_instance), "--trials", "0", "--out", str(out)]
+    assert main(argv) == EXIT_SCHEMA
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_min_approx_zero_noise_answers(perm_instance, tmp_path):
     out = tmp_path / "r.json"
     argv = ["solve-min", str(perm_instance), "--via", "mot-approx", "--eps", "0", "--out", str(out)]

@@ -175,6 +175,12 @@ def test_lipschitz_experiment_reports():
     assert rep3["checks"][0]["rhs"] == 2.0 * TRIANGLE_K3.edge_count
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_lipschitz_experiment_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        lipschitz_experiment(DenseCost(np.full((2, 2), 4.0)), trials=trials)
+
+
 GAP_PARAMS = {
     "A_plus": 2.0, "A_minus": 1.0, "B_plus": 1.0,
     "B_minus": 1.0, "C_plus": 1.0, "C_minus": 1.0,

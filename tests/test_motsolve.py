@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -366,6 +367,120 @@ def test_value_failure_names_the_lp(monkeypatch, private_bindings):
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
         lp.value()
     assert calls.count("run") == (2 if private_bindings else 0)
+
+
+def _certified(C, spec, sol):
+    """Strong duality, feasible duals, a coupling of the spec, and a basic support."""
+    m = len(spec.constrained)
+    return (
+        abs(sol.value - sol.dual_value) <= 1e-7
+        and check_dual_feasibility(C, sol.duals)
+        and is_coupling(sol.coupling, spec)
+        and sol.coupling.nnz() <= m * C.n - m + 1
+    )
+
+
+def test_column_generation_matches_the_full_lp(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [(C, spec) for family, n, k in FAMILY_SIZES
+             for C in [random_cost(rng, family, n, k)] for spec in _lp_specs(rng, n, k)]
+    full = [solve_lp(C, spec) for C, spec in cases]
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    for (C, spec), want in zip(cases, full):
+        lp = TransportLP(C, spec.constrained)
+        assert lp._held is not None
+        sol = lp.solve(_rows(spec))
+        assert _close_to_cold(sol.value, want.value), (C.family, spec)
+        assert _certified(C, spec, sol), (C.family, spec)
+
+
+def test_column_generation_stream_matches_one_shot_full_solves(monkeypatch):
+    rng = np.random.default_rng(39)
+    corpus = [(C, specs) for _, C, specs in _value_corpus(rng, costs_per_family=3, queries=20)]
+    full = [[solve_lp(C, spec).value for spec in specs] for C, specs in corpus]
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    count = 0
+    for (C, specs), values in zip(corpus, full):
+        lp = TransportLP(C, range(C.k))
+        for q, (spec, want) in enumerate(zip(specs, values)):
+            # value and solve alternate in both orders on the one persisted master
+            first, second = (lp.value, lp.solve) if q % 2 else (lp.solve, lp.value)
+            for answer in (first(_rows(spec)), second(_rows(spec))):
+                got = answer if isinstance(answer, float) else answer.value
+                assert _close_to_cold(got, want), (C.family, spec)
+                count += 1
+    assert count == 1200
+
+
+def test_column_generation_without_private_bindings_matches_highs(monkeypatch):
+    rng = np.random.default_rng(40)
+    cases = [(C, spec) for family, n, k in FAMILY_SIZES[::4]
+             for C in [random_cost(rng, family, n, k)] for spec in _lp_specs(rng, n, k)]
+    cases.append((random_cost(rng, "two_sat", 2, 9), MarginalSpec.fully_fixed(random_marginals(rng, 2, 9))))
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    highs = [solve_lp(C, spec) for C, spec in cases]
+    monkeypatch.setattr(motsolve, "_core", None)
+    linprog_calls = _count_calls(monkeypatch, motsolve, "linprog")
+    for (C, spec), want in zip(cases, highs):
+        sol = solve_lp(C, spec)
+        assert _close_to_cold(sol.value, want.value), (C.family, spec)
+        assert _certified(C, spec, sol), (C.family, spec)
+    assert len(linprog_calls) >= len(cases)
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_column_generation_terminates_without_readding_columns(monkeypatch):
+    rng = np.random.default_rng(5)
+    C = random_cost(rng, "low_rank", 8, 6)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 8, 6))
+    lp = TransportLP(C, range(6))
+    added = []
+    real_add_cols = lp._lp.add_cols
+
+    def recorded_add_cols(c, *columns):
+        added.append(len(c))
+        real_add_cols(c, *columns)
+
+    monkeypatch.setattr(lp._lp, "add_cols", recorded_add_cols)
+    lp._lp._highs = model = _NotOptimalAtFirst(lp._lp._highs, bad=0)
+    sol = lp.solve(_rows(spec))
+    assert _certified(C, spec, sol)
+    # 17 runs when pinned; each run but the last adds at most n k = 48 new columns
+    assert model.calls.count("run") <= 40
+    assert sum(added) == lp._cols.size == np.unique(lp._cols).size == lp._held.sum()
+    assert lp._cols.size <= 7 * 6 + 1 + 48 * (model.calls.count("run") - 1)
+
+
+@pytest.mark.parametrize("at_threshold", [True, False])
+def test_column_generation_threshold_boundary(at_threshold, monkeypatch):
+    rng = np.random.default_rng(41)
+    C = random_cost(rng, "set_function", 2, 9)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 2, 9))
+    want = solve_lp(C, spec)
+    assert motsolve._CG_MIN_COLUMNS == 2**9
+    if not at_threshold:  # this instance is then at the threshold minus one
+        monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 2**9 + 1)
+    enumerations = _count_calls(monkeypatch, motsolve, "all_index_tuples")
+    lp = TransportLP(C, range(9))
+    assert (lp._held is not None) == at_threshold
+    assert len(enumerations) == (0 if at_threshold else 1)
+    sol = lp.solve(_rows(spec))
+    assert _close_to_cold(sol.value, want.value)
+    assert _certified(C, spec, sol)
+
+
+def test_column_generation_logs_one_record_per_query(caplog):
+    rng = np.random.default_rng(42)
+    C = random_cost(rng, "dense", 2, 10)
+    mu = np.stack(random_marginals(rng, 2, 10))
+    lp = TransportLP(C, range(10))
+    with caplog.at_level(logging.DEBUG, logger="motlab"):
+        lp.value(mu)
+        sol = lp.solve(mu)
+        TransportLP(PERM, range(2)).solve(_rows(HALF))  # below the threshold: no record
+    assert [r.name for r in caplog.records] == ["motlab", "motlab"]
+    rounds, held, iterations = caplog.records[1].args[1:]
+    assert rounds >= 1 and held == lp._cols.size and iterations == sol.iterations
 
 
 def test_dual_feasibility_checks():

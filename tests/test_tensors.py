@@ -289,6 +289,22 @@ def test_from_support_stores_sorted_read_only_arrays():
     assert np.array_equal(dense[tuple(idx.T)], vals) and np.count_nonzero(dense) == P.nnz() == 30
 
 
+def test_value_types_compare_by_contents():
+    pairs = [
+        (CouplingTensor.point_mass(2, (0, 1)), CouplingTensor.point_mass(2, (1, 1))),
+        (CouplingTensor.from_dense(np.eye(2) / 2), CouplingTensor.from_dense(np.eye(2)[::-1] / 2)),
+        (MarginalSpec.point_masses(3, (0, 2)), MarginalSpec.partial(3, 2, {0: np.eye(3)[0]})),
+        (DualPotentials(np.zeros((2, 3))), DualPotentials(np.ones((2, 3)))),
+    ]
+    for a, b in pairs:
+        same = type(a)(**{name: getattr(a, name) for name in vars(a)})
+        assert a == same and not a != same
+        assert a != b and not a == b
+    assert CouplingTensor.point_mass(2, (0, 1)) != CouplingTensor.point_mass(3, (0, 1))
+    assert DualPotentials(np.zeros((2, 3))) != DualPotentials(np.zeros((3, 2)))
+    assert MarginalSpec.point_masses(2, (0, 1)) != CouplingTensor.point_mass(2, (0, 1))
+
+
 # (constrained, marginals) pairs on n = k = 2 that MarginalSpec must refuse
 _BAD_MARGINALS = {
     "negative entry": ((0, 1), ([1.1, -0.1], [0.5, 0.5]), "negative entry"),
