@@ -26,8 +26,8 @@ from .tensors import (
     MarginalSpec,
     all_index_tuples,
     along,
-    mode_sum,
     others,
+    scaled_mode_sum,
 )
 
 _log = logging.getLogger("motlab")
@@ -48,11 +48,25 @@ _DUAL_TOL = 1e-9
 # 35% of min_noisy's ops/s.
 _CG_MIN_COLUMNS = 512
 
-# Sinkhorn sums a slice of exp(log_P) directly only while the sum is at least
-# this.  Each exp landing below the smallest normal double, 2^-1022, is off by
-# at most 2^-1074, and a slice holds fewer than 2^53 entries, so underflow
-# costs the sum less than 2^-1021: under half an ulp of any sum >= 2^-968.
+# Sinkhorn uses a mode's contraction c = scaled_mode_sum(K, u, i) as it is
+# only while every live entry is at least this times R, the largest product
+# of the other modes' scalings, prod_{m != i} max(1, max u_m).  An entry of
+# K = exp(log_K) landing below the smallest normal double, 2^-1022, is off by
+# at most 2^-1074, and so is a gemv product landing there; either error is
+# then multiplied by at most R.  K holds fewer than 2^51 entries and a
+# contraction rounds fewer than three times per entry, so underflow costs c
+# less than 2^-1021 R: under half an ulp of any entry >= 2^-968 R.
 _SLICE_SUM_FLOOR = 2.0**-968
+
+# Sinkhorn keeps every live scaling entry within [2^-r, 2^r],
+# r = _SCALING_LOG2_RANGE // k, and absorbs the scalings into the kernel when
+# one leaves.  A product of at most k scalings then lies in [2^-960, 2^960]:
+# the Kronecker vectors of a contraction are normal doubles, so only the
+# products with K can underflow (the floor above bounds that), and a
+# contraction, fewer than 2^51 entries of K <= 1 times such a product, stays
+# under 2^1011.  K <= 1 holds because the largest entry of log_K starts at 0
+# and an absorption follows a mode update, which leaves total mass 1.
+_SCALING_LOG2_RANGE = 960
 
 _LP_OPTIONS = {
     "presolve": True,
@@ -483,71 +497,121 @@ def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
 
 
 def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolution:
-    """Multimarginal Sinkhorn scaling in the log domain.
+    """Multimarginal Sinkhorn scaling of the Gibbs kernel.
 
-    The iterate always has the Gibbs form exp(-eta C) rescaled along each
-    constrained mode; one cycle rescales the constrained modes in order so
-    their marginals match, and iteration stops once the summed l1 marginal
-    error falls under ``cfg.tol``.  The reported value is the entropically
-    regularized objective <P, C> - H(P)/eta of the final coupling; callers
-    wanting exact feasibility compose with ``round_to_polytope``.
+    The iterate is P = K * u_0 (x) ... (x) u_{k-1}: the kernel K = exp(log_K),
+    where log_K = -eta C shifted to max 0, times one scaling vector per mode
+    (all ones on free modes).  One cycle sets the scaling of each constrained
+    mode in turn to mu_i / c_i, with c_i = ``scaled_mode_sum(K, u, i)``, so
+    that its marginal matches (zero targets keep zero scalings); iteration
+    stops once the summed l1 marginal error falls under ``cfg.tol``.  The
+    reported value is the entropically regularized objective
+    <P, C> - H(P)/eta of the best iterate, materialized once at the end;
+    callers wanting exact feasibility compose with ``round_to_polytope``.
 
-    The log-iterate log_P is carried next to P = exp(log_P).  Its maximum is
-    0 at the start and every update leaves total mass 1, so log_P <= 0 and
-    exp never overflows; a mode's log-marginal is then the log of a plain
-    sum of P, unless a slice sum with a positive target falls under
-    ``_SLICE_SUM_FLOOR``, where that mode takes the max-shifted
-    ``logsumexp`` of log_P instead.
+    K is exponentiated once per solve, and a mode update is one contraction
+    of it.  A mode whose live c_i entries could have lost precision to
+    underflow (``_SLICE_SUM_FLOOR``) takes the max-shifted ``logsumexp`` of
+    log_K + sum_m log u_m instead.  A scaling entry leaving its safe range
+    (``_SCALING_LOG2_RANGE``) is absorbed: every scaling's log is folded into
+    log_K, K is recomputed and the scalings are reset to 1.
     """
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
+    if not spec.constrained:
+        raise ValueError("at least one constrained mode is required")
     n, k = C.n, C.k
     cost = C.materialize()
-    log_P = -cfg.eta * cost - 1.0
-    if spec.constrained:
-        # constant shifts are absorbed by the first scaling update; keep the
-        # initial iterate under 1 so exp never overflows at large eta * c_max
-        log_P -= log_P.max()
+    top = -cfg.eta * float(cost.min())  # the largest entry of -eta C
 
-    def marginal_gap(P):
+    def log_kernel(logs, out):
+        """log_K plus the log-scalings ``logs[m]`` along each mode m, into ``out``."""
+        np.multiply(cost, -cfg.eta, out=out)
+        out -= top
+        for m, v in logs.items():
+            out += along(v, m, k)
+        return out
+
+    K = np.exp(log_kernel({}, np.empty_like(cost)))
+    u = [np.ones(n) for _ in range(k)]
+    hi = [1.0] * k  # max(1, max u_m)
+    a = {i: np.zeros(n) for i in spec.constrained}  # log-scalings absorbed into K
+    r = _SCALING_LOG2_RANGE // k
+    low, high = 2.0**-r, 2.0**r
+    live = {i: mu > 0 for i, mu in zip(spec.constrained, spec.marginals)}
+    with np.errstate(divide="ignore"):
+        log_mu = {i: np.log(mu) for i, mu in zip(spec.constrained, spec.marginals)}
+
+    def folded(skip):
+        """The log-scalings absorbed so far plus those of u, leaving out u_skip."""
+        with np.errstate(divide="ignore"):
+            return {m: a[m] if m == skip else a[m] + np.log(u[m]) for m in a}
+
+    held = {}  # contractions c_i of the current K and u; c_i does not read u_i
+
+    def contraction(i):
+        if i not in held:
+            held[i] = scaled_mode_sum(K, u, i)
+        return held[i]
+
+    def marginal_gap():
         return sum(
-            float(np.abs(mode_sum(P, i) - mu).sum())
+            float(np.abs(u[i] * contraction(i) - mu).sum())
             for i, mu in zip(spec.constrained, spec.marginals)
         )
 
-    P = np.exp(log_P)
-    best_P = P.copy()
-    best_err = marginal_gap(P)
+    best_err = marginal_gap()
+    best = (a, list(u))
     converged = best_err <= cfg.tol
-    cycles = 0
-    with np.errstate(divide="ignore"):
-        log_mu = {
-            i: np.log(mu) for i, mu in zip(spec.constrained, spec.marginals)
-        }
+    cycles = absorptions = fallbacks = 0
     while not converged and cycles < cfg.max_iters:
         cycles += 1
-        for i in spec.constrained:
-            m = mode_sum(P, i)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if m[np.isfinite(log_mu[i])].min() >= _SLICE_SUM_FLOOR:
-                    log_m = np.log(m)
-                else:
-                    log_m = logsumexp(log_P, axis=others(i, k))
-                step = log_mu[i] - log_m
-            # a zero marginal entry pins its slice at -inf, where -inf - -inf is nan
-            log_P += along(np.where(np.isneginf(log_mu[i]), -np.inf, step), i, k)
-            np.exp(log_P, out=P)
-        err = marginal_gap(P)
+        for i, mu in zip(spec.constrained, spec.marginals):
+            c = contraction(i)
+            log_ui = None  # set when u_i leaves the safe range
+            if c[live[i]].min() >= _SLICE_SUM_FLOOR * math.prod(hi[:i] + hi[i + 1:]):
+                ui = np.zeros(n)
+                np.divide(mu, c, out=ui, where=live[i])
+                if ui[live[i]].min() < low or ui.max() > high:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        log_ui = np.where(live[i], log_mu[i] - np.log(c), -np.inf)
+            else:
+                fallbacks += 1
+                log_c = logsumexp(log_kernel(folded(i), np.empty_like(K)), axis=others(i, k))
+                # a zero target's slice can sum to -inf, where -inf - -inf is nan
+                with np.errstate(invalid="ignore"):
+                    log_ui = np.where(live[i], log_mu[i] - log_c, -np.inf)
+                if math.log(low) <= log_ui[live[i]].min() and log_ui.max() <= math.log(high):
+                    ui, log_ui = np.exp(log_ui), None
+            if log_ui is None:
+                u[i] = ui
+                hi[i] = max(1.0, float(ui.max()))
+                held = {i: c}
+            else:
+                absorptions += 1
+                a = folded(i)
+                a[i] = a[i] + log_ui
+                np.exp(log_kernel(a, K), out=K)
+                u = [np.ones(n) for _ in range(k)]
+                hi = [1.0] * k
+                held = {}
+        err = marginal_gap()
         if err < best_err:
-            np.copyto(best_P, P)
-            best_err = err
+            best, best_err = (a, list(u)), err
         if err <= cfg.tol:
             converged = True
 
-    P = best_P
+    best_a, best_u = best
+    if best_a is not a:  # the best iterate predates an absorption
+        np.exp(log_kernel(best_a, K), out=K)
+    P = K
+    for i in spec.constrained:
+        P *= along(best_u[i], i, k)
     lin = float((P * cost).sum())
     pos = P[P > 0]
     ent = float(-(pos * np.log(pos)).sum())
+    _log.debug("sinkhorn %d^%d: %d cycles, %d absorptions, %d logsumexp fallbacks, marginal error %.3g",
+               n, k, cycles, absorptions, fallbacks, best_err)
     return MotSolution(
         value=lin - ent / cfg.eta,
         coupling=CouplingTensor.from_dense(P),

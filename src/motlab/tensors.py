@@ -270,6 +270,48 @@ def mode_sum(arr: np.ndarray, i: int) -> np.ndarray:
     return np.einsum("anb->n", arr.reshape(n**i, n, -1))
 
 
+# Each gemv of ``scaled_mode_sum`` contracts the fewest neighbouring modes
+# whose Kronecker vector has at least this many entries.  Mean over all modes
+# of one contraction, one BLAS thread on a 2-core VM, against contracting a
+# whole side in one gemv: 7^6 31 vs 67 us, 2^17 55 vs 318 us, 3^11 60 vs
+# 219 us; thresholds 32 and 256 were within 20% of 64 on these shapes.
+_GEMV_MIN_LENGTH = 64
+
+
+def _kron(vecs) -> np.ndarray:
+    w = vecs[0]
+    for v in vecs[1:]:
+        w = np.multiply.outer(w, v).ravel()
+    return w
+
+
+def scaled_mode_sum(arr: np.ndarray, scalings, i: int) -> np.ndarray:
+    """Sum out every mode of arr ⊙ u_0 ⊗ ... ⊗ u_{k-1} but i, leaving u_i out.
+
+    ``scalings`` holds one length-n vector u_m per mode; entry i is not read,
+    so u_i times the result is the i-th marginal of the scaled array.  A
+    chain of BLAS gemvs over reshaped views of ``arr``, each contracting a
+    block of leading or trailing modes against the Kronecker product of
+    their scalings, the side with more modes first: the first gemv reads
+    ``arr`` once, the later ones read an array at least
+    ``_GEMV_MIN_LENGTH`` times smaller, and nothing of size n^k is written.
+    """
+    n, k = arr.shape[0], arr.ndim
+    y = arr.reshape(-1)
+    lead, trail = i, k - i - 1  # modes still to contract before and after i
+    while lead or trail:
+        b = 1
+        while b < max(lead, trail) and n**b < _GEMV_MIN_LENGTH:
+            b += 1
+        if lead >= trail:
+            y = _kron(scalings[i - lead : i - lead + b]) @ y.reshape(n**b, -1)
+            lead -= b
+        else:
+            y = y.reshape(-1, n**b) @ _kron(scalings[i + trail - b + 1 : i + trail + 1])
+            trail -= b
+    return np.array(y)  # a copy: with k = 1 nothing is contracted and y views arr
+
+
 def marginal(P: CouplingTensor, i: int) -> np.ndarray:
     """The i-th marginal: entry j sums P over all tuples whose i-th coordinate is j."""
     if i < 0 or i >= P.k:

@@ -113,6 +113,16 @@ def test_solve_mot_rejects_bad_sinkhorn_settings(perm_instance, flag, value, mon
     assert main(argv) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("backend", ["lp", "sinkhorn"])
+def test_solve_mot_rejects_a_spec_without_constrained_modes(backend, tmp_path, capsys):
+    path = tmp_path / "free.json"
+    save_instance(path, random_cost(np.random.default_rng(4), "dense", 2, 2), MarginalSpec.partial(2, 2, {}))
+    out = tmp_path / "r.json"
+    assert main(["solve-mot", str(path), "--backend", backend, "--out", str(out)]) == EXIT_SCHEMA
+    assert "at least one constrained mode is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
 def test_solve_min_approx_rejects_bad_noise(perm_instance, tmp_path, eps, monkeypatch):
     def fail(*args, **kwargs):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from motlab import (
+    CouplingTensor,
     DenseCost,
     DualPotentials,
     MarginalSpec,
+    MotSolution,
     SetFunctionCost,
     SinkhornConfig,
     TransportLP,
@@ -26,6 +29,7 @@ from motlab import (
     solve_submodular,
     suggest_eta,
 )
+from motlab.tensors import along, mode_sum, others
 from motlab.corpus import (
     random_cost,
     random_coverage_function,
@@ -610,6 +614,146 @@ def test_sinkhorn_underflowing_slice_falls_back(monkeypatch):
     assert math.isfinite(sol.value) and sol.marginal_error < 0.02  # not stuck at the first iterate
     monkeypatch.setattr(motsolve, "_SLICE_SUM_FLOOR", np.inf)
     assert _same_sinkhorn_solution(sol, sinkhorn(C, HALF, cfg))
+
+
+def _log_domain_sinkhorn(C, spec, cfg):
+    """The reference loop: Sinkhorn on the log-iterate log_P, rewritten by a
+    full-tensor add and exp per mode update, whose log-marginal is the log of
+    a sum of P unless a live slice sum falls under 2^-968, where it is the
+    max-shifted logsumexp of log_P."""
+    k = C.k
+    cost = C.materialize()
+    log_P = -cfg.eta * cost - 1.0
+    log_P -= log_P.max()
+
+    def marginal_gap(P):
+        return sum(
+            float(np.abs(mode_sum(P, i) - mu).sum())
+            for i, mu in zip(spec.constrained, spec.marginals)
+        )
+
+    P = np.exp(log_P)
+    best_P = P.copy()
+    best_err = marginal_gap(P)
+    converged = best_err <= cfg.tol
+    cycles = 0
+    with np.errstate(divide="ignore"):
+        log_mu = {i: np.log(mu) for i, mu in zip(spec.constrained, spec.marginals)}
+    while not converged and cycles < cfg.max_iters:
+        cycles += 1
+        for i in spec.constrained:
+            m = mode_sum(P, i)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if m[np.isfinite(log_mu[i])].min() >= 2.0**-968:
+                    log_m = np.log(m)
+                else:
+                    log_m = logsumexp(log_P, axis=others(i, k))
+                step = log_mu[i] - log_m
+            log_P += along(np.where(np.isneginf(log_mu[i]), -np.inf, step), i, k)
+            np.exp(log_P, out=P)
+        err = marginal_gap(P)
+        if err < best_err:
+            np.copyto(best_P, P)
+            best_err = err
+        if err <= cfg.tol:
+            converged = True
+    pos = best_P[best_P > 0]
+    value = float((best_P * cost).sum()) + float((pos * np.log(pos)).sum()) / cfg.eta
+    return MotSolution(value, CouplingTensor.from_dense(best_P), None, "sinkhorn",
+                       converged, cycles, best_err)
+
+
+def test_sinkhorn_matches_log_domain_loop():
+    rng = np.random.default_rng(43)
+    cases = [
+        (random_cost(rng, family, n, k), spec, SinkhornConfig(eta=eta, tol=1e-9, max_iters=300))
+        for family, eta, n, k in SINKHORN_CORPUS
+        for spec in _lp_specs(rng, n, k)
+    ]
+    for family in ("dense", "pairwise") * 4:  # the benchmark's 7^6 instances
+        C = random_cost(rng, family, 7, 6)
+        spec = MarginalSpec.fully_fixed(random_marginals(rng, 7, 6))
+        cases.append((C, spec, SinkhornConfig(eta=20.0 / C.upper_bound(), tol=1e-6, max_iters=2000)))
+    mismatched = [
+        i for i, (C, spec, cfg) in enumerate(cases)
+        if not _same_sinkhorn_solution(sinkhorn(C, spec, cfg), _log_domain_sinkhorn(C, spec, cfg))
+    ]
+    assert len(cases) == 44 and mismatched == []
+
+
+def _sinkhorn_record(caplog):
+    """(cycles, absorptions, logsumexp fallbacks, marginal error) of the last call."""
+    return caplog.records[-1].args[2:]
+
+
+def test_sinkhorn_absorbs_out_of_range_scalings(monkeypatch, caplog):
+    rng = np.random.default_rng(5)
+    C = random_cost(rng, "dense", 3, 3)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
+    cfg = SinkhornConfig(eta=1000.0, tol=1e-9, max_iters=2000)
+    # the kernel spans exp(-1000 (c_max - c_min)): the scalings outgrow [2^-320, 2^320]
+    assert motsolve._SCALING_LOG2_RANGE // 3 == 320
+    with caplog.at_level(logging.DEBUG, logger="motlab"):
+        sol = sinkhorn(C, spec, cfg)
+    cycles, absorptions, fallbacks, err = _sinkhorn_record(caplog)
+    assert sol.converged and cycles == sol.iterations and absorptions > 0
+    assert _same_sinkhorn_solution(sol, _log_domain_sinkhorn(C, spec, cfg))
+    monkeypatch.setattr(motsolve, "_SLICE_SUM_FLOOR", np.inf)
+    assert _same_sinkhorn_solution(sol, sinkhorn(C, spec, cfg))
+
+
+def test_sinkhorn_reports_a_best_iterate_from_before_an_absorption(caplog):
+    rng = np.random.default_rng(1)
+    C = random_cost(rng, "dense", 3, 3)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
+    cfg = SinkhornConfig(eta=1000.0, tol=1e-9, max_iters=3)
+    with caplog.at_level(logging.DEBUG, logger="motlab"):
+        sol = sinkhorn(C, spec, cfg)
+    assert _sinkhorn_record(caplog)[1] > 0 and not sol.converged
+    # no cycle improves on the first iterate, so the kernel it was built on
+    # is rebuilt after the absorptions; the error reported is the coupling's
+    P = sol.coupling.to_dense()
+    gap = sum(float(np.abs(mode_sum(P, i) - mu).sum()) for i, mu in zip(spec.constrained, spec.marginals))
+    assert math.isclose(gap, sol.marginal_error, rel_tol=1e-12)
+    assert _same_sinkhorn_solution(sol, _log_domain_sinkhorn(C, spec, cfg))
+
+
+def test_sinkhorn_floor_scales_with_the_largest_scaling_product(caplog):
+    # after an absorption, one contraction has a live entry above 2^-968 but
+    # under 2^-968 times the other modes' largest scaling product, where a
+    # plain contraction may have lost its precision to underflow in K
+    C = DenseCost(np.array([[[-0.09, -1.49], [-0.15, -2.23]], [[-0.06, -2.24], [0.25, -2.6]]]))
+    spec = MarginalSpec.fully_fixed([np.array([0.51, 0.49]), np.array([0.8, 0.2]), np.array([0.13, 0.87])])
+    cfg = SinkhornConfig(eta=300.0, tol=1e-9, max_iters=1000)
+    with caplog.at_level(logging.DEBUG, logger="motlab"):
+        sol = sinkhorn(C, spec, cfg)
+    _, absorptions, fallbacks, _ = _sinkhorn_record(caplog)
+    assert sol.converged and absorptions > 0 and fallbacks > 0
+    assert _same_sinkhorn_solution(sol, _log_domain_sinkhorn(C, spec, cfg))
+
+
+def test_sinkhorn_logs_one_record_per_call(caplog):
+    rng = np.random.default_rng(45)
+    C = random_cost(rng, "dense", 3, 3)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 3, 3))
+    underflowing = DenseCost(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    with caplog.at_level(logging.DEBUG, logger="motlab"):
+        sol = sinkhorn(C, spec, SinkhornConfig(eta=5.0, tol=1e-10))
+        assert [r.name for r in caplog.records] == ["motlab"]
+        assert _sinkhorn_record(caplog) == (sol.iterations, 0, 0, sol.marginal_error)
+        sol = sinkhorn(underflowing, HALF, SinkhornConfig(eta=1000.0, max_iters=50))
+    assert len(caplog.records) == 2
+    cycles, absorptions, fallbacks, err = _sinkhorn_record(caplog)
+    assert (cycles, err) == (sol.iterations, sol.marginal_error)
+    assert absorptions > 0 and fallbacks > 0
+
+
+@pytest.mark.parametrize("cost", [np.zeros((2, 2)), np.full((2, 2), -10.0)])
+def test_sinkhorn_requires_a_constrained_mode(cost):
+    spec = MarginalSpec.partial(2, 2, {})
+    for solve in (solve_lp, lambda C, spec: sinkhorn(C, spec, SinkhornConfig(eta=100.0))):
+        with pytest.raises(ValueError, match="at least one constrained mode is required"):
+            solve(DenseCost(cost), spec)
 
 
 @pytest.mark.parametrize(

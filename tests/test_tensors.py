@@ -27,7 +27,7 @@ from motlab import (
     solve_lp,
 )
 from motlab.corpus import random_dense, random_marginals
-from motlab.tensors import check_cap, marginal_matrix, mode_sum, others
+from motlab.tensors import along, check_cap, marginal_matrix, mode_sum, others, scaled_mode_sum
 
 
 def random_sparse_coupling(rng, n, k, m):
@@ -342,3 +342,27 @@ def test_mode_sum_matches_axis_sum(n, k):
             got = mode_sum(arr, i)
             assert got.shape == (n,)
             assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, 8)])
+def test_scaled_mode_sum_matches_einsum_and_marginal(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    K = rng.random((n,) * k)
+    with_zeros = [rng.random(n) + 0.5 for _ in range(k)]
+    for v in with_zeros:
+        v[rng.integers(n)] = 0.0
+    ones_on_free = [rng.random(n) + 0.5 if m % 2 else np.ones(n) for m in range(k)]
+    modes = "abcdefg"[:k]
+    for scalings in (with_zeros, ones_on_free):
+        P = K.copy()
+        for m, v in enumerate(scalings):
+            P *= along(v, m, k)
+        for i in range(k):
+            rest = [m for m in range(k) if m != i]
+            spec = ",".join([modes] + [modes[m] for m in rest]) + "->" + modes[i]
+            got = scaled_mode_sum(K, scalings, i)
+            assert got.shape == (n,) and not np.shares_memory(got, K)
+            np.testing.assert_allclose(got, np.einsum(spec, K, *[scalings[m] for m in rest]), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                scalings[i] * got, marginal(CouplingTensor.from_dense(P), i), rtol=1e-12, atol=0
+            )
