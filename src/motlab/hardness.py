@@ -284,6 +284,8 @@ def check_gap_inequalities(
             raise ValueError(f"parameter {key} must be present and positive")
     params = {k: float(v) for k, v in params.items()}
     n_range = [int(n) for n in n_range]
+    if not n_range or min(n_range) < 1:
+        raise ValueError(f"n_range must be non-empty with every n >= 1, got {n_range}")
 
     doc = {"params": {k: format(v, ".17g") for k, v in sorted(params.items())},
            "n_range": n_range,

@@ -24,7 +24,6 @@ from .tensors import (
     CouplingTensor,
     DualPotentials,
     MarginalSpec,
-    all_index_tuples,
     along,
     others,
     scaled_mode_sum,
@@ -102,52 +101,44 @@ else:
 
 
 class HighsLP:
-    """min c.x subject to A_eq x = b_eq, rows a.x <= u added by ``add_row``,
-    and col_lower <= x, solved as linprog(method="highs-ds") solves it.
+    """min c.x subject to m equality rows A_eq x = b_eq, rows a.x <= u added
+    by ``add_row``, and col_lower <= x, solved as linprog(method="highs-ds")
+    solves it; ``what`` names the LP in error messages.
 
-    ``A_eq`` is a dense array or a CSC array with int32 indices; ``what``
-    names the LP in error messages.
-    One HiGHS model on scipy's private bindings, with the one option set, is
-    built with the equality rows; ``set_rhs`` changes their bounds in place,
-    ``add_row`` appends a row and ``add_cols`` columns x >= 0.  Every
+    An LP starts as its equality rows with no columns, one HiGHS model on
+    scipy's private bindings with the one option set.  Every column enters
+    through ``add_cols``; ``set_rhs`` changes the equality bounds in place.
     ``solve`` clears the solver before it runs, so its x and duals depend
     only on the LP as it stands, never on an earlier basis.  ``resolve``
-    returns the same but starts from the basis the last run left, and
-    ``value`` asks for the optimal value alone, also warm: the value of an
-    LP does not depend on which optimal basis is found, so only its roundoff
-    can differ from a cold run.  All are checked as linprog checks its
-    result.  Without the private bindings all call ``linprog`` on the same
-    LP.
+    returns the same but starts from the basis the last run left: the
+    optimal value does not depend on which optimal basis is found, so only
+    its roundoff can differ from a cold run.  Both are checked as linprog
+    checks its result.  Without the private bindings both call ``linprog``
+    on the same LP.
     """
 
-    def __init__(self, c, A_eq, b_eq, col_lower, what: str):
+    def __init__(self, b_eq, what: str):
         self.what = what
-        if isinstance(A_eq, np.ndarray):
-            A_eq = sp.csc_array(A_eq)
-        self._c, self._A_eq, self._col_lower = c, A_eq, col_lower
-        self._m = A_eq.shape[0]
-        # bounds of every row, the m equality rows first, for the result check
+        self._m = len(b_eq)
+        # bounds of every row, the m equality rows first, and of every
+        # column, for the result check
         self._row_lower = np.array(b_eq, dtype=float)
         self._row_upper = self._row_lower.copy()
-        self._rows: list[np.ndarray] = []  # the added rows, kept for linprog only
+        self._col_lower = np.zeros(0)
+        # costs, equality rows and added rows, kept for linprog only
+        self._c, self._A_eq = np.zeros(0), sp.csc_array((self._m, 0))
+        self._rows: list[np.ndarray] = []
         self._highs = None
         if _core is None:
             return
-        lp = _core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-        lp.num_row_ = lp.a_matrix_.num_row_ = self._m
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.col_cost_ = c
-        lp.col_lower_, lp.col_upper_ = col_lower, np.full(len(c), np.inf)
-        lp.row_lower_, lp.row_upper_ = self._row_lower, self._row_upper
-        lp.a_matrix_.start_ = A_eq.indptr
-        lp.a_matrix_.index_ = A_eq.indices
-        lp.a_matrix_.value_ = A_eq.data
         self._highs = _core._Highs()
         if self._highs.passOptions(_HIGHS_OPTIONS) == _core.HighsStatus.kError:
             raise RuntimeError(f"HiGHS rejected the {what} options")
-        if self._highs.passModel(lp) == _core.HighsStatus.kError:
-            raise RuntimeError(f"HiGHS rejected the {what} model")
+        starts = np.zeros(self._m, dtype=np.int32)
+        status = self._highs.addRows(self._m, self._row_lower, self._row_upper, 0, starts,
+                                     np.zeros(0, dtype=np.int32), np.zeros(0))
+        if status == _core.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the {what} rows")
 
     def set_rhs(self, b_eq) -> None:
         """Replace the right-hand side of the equality rows."""
@@ -168,11 +159,12 @@ class HighsLP:
             cols = np.flatnonzero(a)
             self._highs.addRow(-np.inf, float(upper), cols.size, cols.astype(np.int32), a[cols])
 
-    def add_cols(self, c, data, indices, indptr) -> None:
-        """Add columns x >= 0 with costs ``c`` and equality-row entries in
-        CSC form, int32 ``indices`` and ``indptr``; added rows hold zeros there."""
+    def add_cols(self, c, col_lower, data, indices, indptr) -> None:
+        """Add columns x >= col_lower with costs ``c`` and equality-row
+        entries in CSC form, int32 ``indices`` and ``indptr``; added rows
+        hold zeros there."""
         count = len(c)
-        self._col_lower = np.concatenate([self._col_lower, np.zeros(count)])
+        self._col_lower = np.concatenate([self._col_lower, col_lower])
         if self._highs is None:
             self._c = np.concatenate([self._c, c])
             A_eq = sp.csc_array((data, indices, indptr), shape=(self._m, count))
@@ -180,7 +172,7 @@ class HighsLP:
             self._rows = [np.concatenate([a, np.zeros(count)]) for a in self._rows]
             return
         status = self._highs.addCols(
-            count, c, np.zeros(count), np.full(count, np.inf), len(data), indptr[:-1], indices, data
+            count, c, col_lower, np.full(count, np.inf), len(data), indptr[:-1], indices, data
         )
         if status == _core.HighsStatus.kError:
             raise RuntimeError(f"HiGHS rejected the {self.what} columns")
@@ -190,47 +182,27 @@ class HighsLP:
         and the iteration count.  Raises RuntimeError naming the LP, with
         HiGHS's or linprog's own status, when there is no checked optimum."""
         if self._highs is None:
-            res = self._linprog()
-            return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
+            return self._linprog()
         self._highs.clearSolver()
         self._highs.run()
         return self._result()
 
     def resolve(self):
-        """What ``solve`` returns, warm-started from the last basis as
-        ``value`` is; raises as ``solve`` does."""
-        if self._highs is None:
-            return self.solve()
-        self._warm_run()
-        return self._result()
-
-    def value(self) -> float:
-        """The checked optimal value, warm-started from the last basis.
+        """What ``solve`` returns, warm-started from the last basis; a run
+        that does not end optimal is cleared and run once more from cold.
         Raises as ``solve`` does."""
         if self._highs is None:
-            return float(self._linprog().fun)
-        self._warm_run()
-        self._checked_solution()
-        return float(self._highs.getInfo().objective_function_value)
-
-    def _warm_run(self) -> None:
-        """Run from the last basis; a run that does not end optimal is
-        cleared and run once more from cold."""
+            return self._linprog()
         highs = self._highs
         highs.run()
         if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
             highs.clearSolver()
             highs.run()
+        return self._result()
 
     def _result(self):
-        x, solution = self._checked_solution()
-        info = self._highs.getInfo()
-        y = np.array(solution.row_dual[: self._m])
-        return x, info.objective_function_value, y, info.simplex_iteration_count
-
-    def _checked_solution(self):
-        """x and the solution of the last run, once its status is optimal and
-        it meets the constraints to linprog's tolerance."""
+        """What ``solve`` returns for the last run, once its status is
+        optimal and it meets the constraints to linprog's tolerance."""
         highs = self._highs
         status = highs.getModelStatus()
         if status != _core.HighsModelStatus.kOptimal:
@@ -247,7 +219,9 @@ class HighsLP:
             raise RuntimeError(
                 f"{self.what} failed: solution violates the constraints by more than {_RESULT_TOL:.2E}"
             )
-        return x, solution
+        info = highs.getInfo()
+        y = np.array(solution.row_dual[: self._m])
+        return x, info.objective_function_value, y, info.simplex_iteration_count
 
     def _linprog(self):
         res = linprog(
@@ -260,7 +234,7 @@ class HighsLP:
         )
         if res.status != 0:
             raise RuntimeError(f"{self.what} failed: linprog status {res.status} ({res.message})")
-        return res
+        return res.x, res.fun, np.asarray(res.eqlin.marginals), res.nit
 
 
 @dataclass(frozen=True)
@@ -313,24 +287,24 @@ class TransportLP:
     mode ``constrained[r]``; only its shape is checked, and every row must
     lie on the simplex.
 
-    Below ``_CG_MIN_COLUMNS`` columns (n^k) the LP holds every column.
-    ``solve`` starts cold and returns the basic solution a one-shot
-    ``linprog`` call would, bit for bit, so its coupling and duals never
-    depend on an earlier query.  ``value`` returns the optimal value alone,
-    warm-started from the previous query's basis: it agrees with ``solve``
-    up to roundoff and skips both the cold start and building the coupling.
+    The LP is a master on the tuples it holds, which every query keeps.
+    ``solve`` runs it cold and ``value`` warm-started from the last basis,
+    returning the optimal value alone: it agrees with ``solve`` up to
+    roundoff and skips both the cold start and building the coupling.
+    Below ``_CG_MIN_COLUMNS`` columns (n^k) the constructor adds every
+    tuple, so the master is the full LP and ``solve`` returns the basic
+    solution a one-shot ``linprog`` call would, bit for bit: its coupling
+    and duals never depend on an earlier query.
 
-    From ``_CG_MIN_COLUMNS`` columns on, the LP is a restricted master that
-    column generation grows and every query keeps.  A query adds the
-    multimarginal north-west-corner tuples of its marginals, runs the master
-    (``solve`` clears the solver first, ``value`` and every later run start
-    from the last basis), and prices every tuple with the reduced cost
-    C - sum_r y_r[j_constrained[r]] under the row duals y.  Up to n k of the
-    most negative tuples not yet held are added, until none is below
-    -``_DUAL_TOL``.  The duals are then feasible for the full LP, a
-    certificate that is checked over every tuple before the answer is
-    returned: the value is the full LP's up to roundoff, but the basic
-    solution may be another optimal one.
+    From ``_CG_MIN_COLUMNS`` columns on, the master starts empty and column
+    generation grows it.  A query adds the multimarginal north-west-corner
+    tuples of its marginals, runs the master, and prices every tuple with
+    the reduced cost C - sum_r y_r[j_constrained[r]] under the row duals y;
+    later runs start from the last basis.  Up to n k of the most negative
+    tuples not yet held are added, until none is below -``_DUAL_TOL``.  The
+    duals are then feasible for the full LP, a certificate that is checked
+    over every tuple before the answer is returned: the value is the full
+    LP's up to roundoff, but the basic solution may be another optimal one.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -345,21 +319,12 @@ class TransportLP:
         n, k = C.n, C.k
         self._cost = C.materialize()  # checks the dense cap before any n^k allocation
         self.n, self.k, self.constrained = n, k, constrained
-        total = self._cost.size
-        if total < _CG_MIN_COLUMNS:
-            self._held = None
-            self._cols = np.arange(total)
-            tuples = all_index_tuples(n, k)
-        else:
-            self._held = np.zeros(total, dtype=bool)  # tuples in the master, by flat index
-            self._cols = np.zeros(0, dtype=np.int64)
-            tuples = np.zeros((0, k), dtype=np.int64)
-        # self._cols[c] is the flat index of the tuple in master column c
-        m = len(constrained)
-        A = sp.csc_array(self._columns(tuples), shape=(n * m, len(tuples)))
-        self._lp = HighsLP(self._cost.ravel()[self._cols], A, np.zeros(n * m), np.zeros(self._cols.size),
-                           "transport LP")
+        self._held = np.zeros(self._cost.size, dtype=bool)  # tuples in the master, by flat index
+        self._cols = np.zeros(0, dtype=np.int64)  # self._cols[c]: flat index of master column c
+        self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
         self._lock = threading.Lock()
+        if self._cost.size < _CG_MIN_COLUMNS:
+            self._add(np.arange(self._cost.size))
 
     def _columns(self, tuples):
         """Constraint columns of the (c, k) index tuples as CSC (data, indices,
@@ -384,7 +349,7 @@ class TransportLP:
         self._held[flat] = True
         self._cols = np.concatenate([self._cols, flat])
         tuples = np.stack(np.unravel_index(flat, self._cost.shape), axis=1)
-        self._lp.add_cols(self._cost.ravel()[flat], *self._columns(tuples))
+        self._lp.add_cols(self._cost.ravel()[flat], np.zeros(flat.size), *self._columns(tuples))
 
     def _nw_corner(self, mu) -> np.ndarray:
         """Flat indices of the multimarginal north-west-corner tuples of
@@ -412,43 +377,42 @@ class TransportLP:
             red -= along(y_i, i, self.k)
         return red.ravel()
 
-    def _generate(self, mu, first_run):
-        """Column generation for the marginals ``mu``, already set as the
-        right-hand side; ``first_run`` runs the master first.  Returns what
-        a ``HighsLP`` run does, with the iterations summed over all runs."""
-        corner = self._nw_corner(mu)
-        self._add(corner[~self._held[corner]])
-        run, rounds, nit = first_run, 0, 0
-        width = self.n * self.k
-        while True:
-            x, fun, y, it = run()
-            run = self._lp.resolve
-            rounds, nit = rounds + 1, nit + it
-            red = self._reduced_costs(y)
-            new = np.flatnonzero(red < -_DUAL_TOL)
-            new = new[~self._held[new]]
-            if new.size == 0:
-                break
-            if new.size > width:
-                new = np.sort(new[np.argpartition(red[new], width)[:width]])
-            self._add(new)
-        worst = float(red.min())
-        if worst < -_DUAL_TOL:
-            raise RuntimeError(
-                f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} below -{_DUAL_TOL:g}"
-            )
-        _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
-                   self._lp.what, rounds, self._cols.size, nit)
-        return x, fun, y, nit
+    def _run(self, mu, first_run):
+        """Answer the checked marginals ``mu``: ``first_run`` runs the master
+        once, then column generation prices while some tuple is not held.
+        Returns what a ``HighsLP`` run does, with the iterations summed over
+        all runs, and the flat tuple index of each column of x."""
+        with self._lock:
+            self._lp.set_rhs(mu.ravel())
+            if self._cols.size < self._cost.size:
+                corner = self._nw_corner(mu)
+                self._add(corner[~self._held[corner]])
+            x, fun, y, nit = first_run()
+            rounds, width = 1, self.n * self.k
+            while self._cols.size < self._cost.size:
+                red = self._reduced_costs(y)
+                new = np.flatnonzero(red < -_DUAL_TOL)
+                new = new[~self._held[new]]
+                if new.size == 0:
+                    worst = float(red.min())
+                    if worst < -_DUAL_TOL:
+                        raise RuntimeError(
+                            f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} "
+                            f"below -{_DUAL_TOL:g}"
+                        )
+                    _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
+                               self._lp.what, rounds, self._cols.size, nit)
+                    break
+                if new.size > width:
+                    new = np.sort(new[np.argpartition(red[new], width)[:width]])
+                self._add(new)
+                x, fun, y, it = self._lp.resolve()
+                rounds, nit = rounds + 1, nit + it
+            return x, fun, y, nit, self._cols
 
     def value(self, mu) -> float:
         """Optimal value for the marginals ``mu``, warm-started from the last query."""
-        mu = self._checked(mu)
-        with self._lock:
-            self._lp.set_rhs(mu.ravel())
-            if self._held is None:
-                return self._lp.value()
-            return float(self._generate(mu, self._lp.resolve)[1])
+        return float(self._run(self._checked(mu), self._lp.resolve)[1])
 
     def solve(self, mu) -> MotSolution:
         """Optimal value, basic coupling and dual potentials for the marginals ``mu``.
@@ -457,18 +421,10 @@ class TransportLP:
         solution (support at most the constraint-matrix rank).
         """
         mu = self._checked(mu)
-        b = mu.ravel()
-        with self._lock:
-            self._lp.set_rhs(b)
-            if self._held is None:
-                x, fun, y, nit = self._lp.solve()
-            else:
-                x, fun, y, nit = self._generate(mu, self._lp.solve)
-            support = x > _SUPPORT_EPS
-            flat = self._cols[support]
-
+        x, fun, y, nit, cols = self._run(mu, self._lp.solve)
+        support = x > _SUPPORT_EPS
         n, k = self.n, self.k
-        idx = np.stack(np.unravel_index(flat, (n,) * k), axis=1)
+        idx = np.stack(np.unravel_index(cols[support], (n,) * k), axis=1)
         coupling = CouplingTensor.from_support(n, k, idx, x[support])
         p = np.zeros((k, n))
         p[list(self.constrained)] = y.reshape(-1, n)  # one length-n block per constrained mode
@@ -479,14 +435,16 @@ class TransportLP:
             duals=DualPotentials(p),
             backend="lp",
             iterations=int(nit),
-            dual_value=float(b @ y),
+            dual_value=float(mu.ravel() @ y),
         )
 
 
 def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
-    """Exact transport value by LP over all n^k entries (desk-scale backend).
+    """Exact transport value by LP (desk-scale backend: the cost is
+    materialized, so n^k must fit under the dense cap).
 
-    A one-shot ``TransportLP``: solved with HiGHS dual simplex, so the
+    A one-shot ``TransportLP``, so from ``_CG_MIN_COLUMNS`` columns on the
+    LP is grown by column generation.  Solved with HiGHS dual simplex, so the
     returned coupling is a basic solution and the equality multipliers are
     optimal dual potentials; unconstrained modes get zero potentials.
     Callers querying one cost repeatedly should keep a ``TransportLP``.
@@ -675,11 +633,18 @@ def solve_submodular(C: SetFunctionCost, x, check: bool = True) -> MotSolution:
     """Polynomial transport solver for submodular set-function costs.
 
     The chain coupling of the extension formula is optimal exactly when the
-    cost is submodular, which is verified by enumeration when k is at most
-    SET_FUNCTION_TABLE_CAP (pass check=False to trust larger instances).
+    cost is submodular.  ``check`` verifies that by enumeration, which is
+    possible only while k is at most SET_FUNCTION_TABLE_CAP; above it, pass
+    check=False to trust the instance.
     """
-    if check and C.k <= SET_FUNCTION_TABLE_CAP and not is_submodular(C):
-        raise ValueError("cost is not submodular; the chain coupling is not optimal")
+    if check:
+        if C.k > SET_FUNCTION_TABLE_CAP:
+            raise ValueError(
+                f"k={C.k} exceeds the enumeration cap {SET_FUNCTION_TABLE_CAP} of the submodularity "
+                "check; pass check=False to trust the instance"
+            )
+        if not is_submodular(C):
+            raise ValueError("cost is not submodular; the chain coupling is not optimal")
     value = lovasz_extension(C, x)
     return MotSolution(
         value=value,

@@ -166,38 +166,27 @@ class EnvelopeMinimization:
     lb_history: tuple[float, ...]
 
 
-def iteration_budget(c_max: float, p, n: int, k: int, target_gap: float) -> int:
-    """Worst-case subgradient-descent budget from the Lipschitz constant and
-    the product-simplex diameter sqrt(2k)."""
-    p = as_weights(p, n, k)
-    L = 2.0 * c_max + math.sqrt(n * k) * float(np.abs(p).max(initial=0.0))
-    D = math.sqrt(2.0 * k)
-    if L == 0.0:
-        return 1
-    return int(math.ceil((L * D / target_gap) ** 2))
-
-
 class CuttingPlaneMaster:
     """The cutting-plane master LP: minimize t over mu in the product of k
     simplices in R^n subject to t >= <g_s, mu> + b_s for every cut s.
 
-    Columns are t (free) and then mu flattened row-major; rows are the k
-    simplex equalities and then one -t + <g_s, mu> <= -b_s row per cut.  One
-    ``HighsLP`` holds the simplex rows and ``add_cut`` appends a row to it;
-    its solves start cold, so a solution depends only on the rows present
-    and never on an earlier basis.
+    Rows are the k simplex equalities and then one -t + <g_s, mu> <= -b_s
+    row per cut; columns are t (free) and then mu flattened row-major, the
+    column of mu_i[j] with a one in row i.  One ``HighsLP`` holds the simplex
+    rows and ``add_cut`` appends a row to it; its solves start cold, so a
+    solution depends only on the rows present and never on an earlier basis.
     """
 
     def __init__(self, n: int, k: int):
         dim = n * k
         self.n, self.k = n, k
+        self._lp = HighsLP(np.ones(k), "cutting-plane master LP")
         obj = np.zeros(dim + 1)
         obj[0] = 1.0
-        simplex = np.zeros((k, dim + 1))
-        for i in range(k):
-            simplex[i, 1 + i * n : 1 + (i + 1) * n] = 1.0
         col_lower = np.concatenate([[-np.inf], np.zeros(dim)])
-        self._lp = HighsLP(obj, simplex, np.ones(k), col_lower, "cutting-plane master LP")
+        indptr = np.concatenate([[0], np.arange(dim + 1)]).astype(np.int32)
+        rows = np.repeat(np.arange(k, dtype=np.int32), n)
+        self._lp.add_cols(obj, col_lower, np.ones(dim), rows, indptr)
 
     def add_cut(self, g: np.ndarray, b: float) -> None:
         """Add the cut t >= <g, mu> + b, with g flattened like mu."""
@@ -221,7 +210,7 @@ def minimize_envelope_exact(
     the master LP minimizes the current polyhedral lower model over the
     product simplex, giving both the next query point and a certified lower
     bound.  Terminates once best-seen value minus lower bound is within
-    ``target_gap``; exhausting the iteration budget returns the best iterate
+    ``target_gap``; exhausting ``max_iters`` returns the best iterate
     flagged uncertified.  The dimensions are the oracle's; an answer without
     dual potentials, which give the cut, raises ValueError.
     """
@@ -233,7 +222,6 @@ def minimize_envelope_exact(
         raise ValueError("the exact envelope path needs an exact oracle")
     n, k = oracle.n, oracle.k
     p = as_weights(p, n, k)
-    budget = min(max_iters, iteration_budget(oracle.c_max, p, n, k, target_gap))
 
     master = CuttingPlaneMaster(n, k)
     mu = np.full((k, n), 1.0 / n)
@@ -244,7 +232,7 @@ def minimize_envelope_exact(
     lb_history = []
     certified = False
     it = 0
-    while it < budget:
+    while it < max_iters:
         it += 1
         point = envelope_value(oracle, p, mu)
         if point.subgradient is None:

@@ -180,6 +180,8 @@ class MarginalSpec:
             mu = np.asarray(mu, dtype=float)
             if mu.shape != (self.n,):
                 raise ValueError(f"marginal for mode {i} has shape {mu.shape}, want ({self.n},)")
+            if not np.isfinite(mu).all():
+                raise ValueError(f"marginal for mode {i} has a non-finite entry")
             if mu.min() < -1e-15:
                 raise ValueError(f"marginal for mode {i} has negative entry {mu.min()}")
             mu = np.maximum(mu, 0.0)

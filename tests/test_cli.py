@@ -264,6 +264,9 @@ def test_verify_gap_cli_and_failure_exit(tmp_path):
     all_pass = all(c["pass"] for c in report["checks"])
     assert code == (0 if all_pass else 1)
     assert main(["verify", "gap", str(params)]) == 2  # missing --n
+    for bad in ("10..5", "0"):  # an empty range, and n = 0
+        assert main(["verify", "gap", str(params), "--n", bad, "--out", str(tmp_path / "bad.json")]) == 2
+        assert not (tmp_path / "bad.json").exists()
 
 
 def test_batch_runs_and_is_deterministic(tmp_path):

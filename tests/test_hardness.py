@@ -213,3 +213,7 @@ def test_gap_checker_rejects_bad_params():
         check_gap_inequalities({"A_plus": 1.0}, [8])
     with pytest.raises(ValueError):
         check_gap_inequalities({**GAP_PARAMS, "C_plus": -1.0}, [8])
+    with pytest.raises(ValueError, match="n_range"):
+        check_gap_inequalities(GAP_PARAMS, [])
+    with pytest.raises(ValueError, match="n_range"):
+        check_gap_inequalities(GAP_PARAMS, [8, 0])

@@ -16,6 +16,7 @@ from motlab import (
     SinkhornConfig,
     TransportLP,
     bernoulli_spec,
+    build_maxcut_cost,
     chain_coupling,
     check_dual_feasibility,
     inner_product,
@@ -29,10 +30,12 @@ from motlab import (
     solve_submodular,
     suggest_eta,
 )
+from motlab.costs import SET_FUNCTION_TABLE_CAP
 from motlab.tensors import along, mode_sum, others
 from motlab.corpus import (
     random_cost,
     random_coverage_function,
+    random_graph,
     random_marginals,
     random_set_function,
 )
@@ -216,7 +219,8 @@ def test_highs_options_are_built_once_and_copied_into_each_model(monkeypatch):
 
 def _infeasible_lp():
     """x0 = 1 as an equality row, then x0 <= 0."""
-    lp = motsolve.HighsLP(np.ones(2), np.array([[1.0, 0.0]]), np.ones(1), np.zeros(2), "test LP")
+    lp = motsolve.HighsLP(np.ones(1), "test LP")
+    lp.add_cols(np.ones(2), np.zeros(2), np.ones(1), np.zeros(1, dtype=np.int32), np.array([0, 1, 1], dtype=np.int32))
     lp.add_row(np.array([1.0, 0.0]), 0.0)
     return lp
 
@@ -369,7 +373,7 @@ def test_value_failure_names_the_lp(monkeypatch, private_bindings):
         lp._highs = _NotOptimalAtFirst(lp._highs, bad=0)
         calls = lp._highs.calls
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
-        lp.value()
+        lp.resolve()
     assert calls.count("run") == (2 if private_bindings else 0)
 
 
@@ -392,7 +396,7 @@ def test_column_generation_matches_the_full_lp(monkeypatch):
     monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
     for (C, spec), want in zip(cases, full):
         lp = TransportLP(C, spec.constrained)
-        assert lp._held is not None
+        assert lp._cols.size < C.n**C.k
         sol = lp.solve(_rows(spec))
         assert _close_to_cold(sol.value, want.value), (C.family, spec)
         assert _certified(C, spec, sol), (C.family, spec)
@@ -464,10 +468,8 @@ def test_column_generation_threshold_boundary(at_threshold, monkeypatch):
     assert motsolve._CG_MIN_COLUMNS == 2**9
     if not at_threshold:  # this instance is then at the threshold minus one
         monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 2**9 + 1)
-    enumerations = _count_calls(monkeypatch, motsolve, "all_index_tuples")
     lp = TransportLP(C, range(9))
-    assert (lp._held is not None) == at_threshold
-    assert len(enumerations) == (0 if at_threshold else 1)
+    assert lp._cols.size == (0 if at_threshold else 2**9)
     sol = lp.solve(_rows(spec))
     assert _close_to_cold(sol.value, want.value)
     assert _certified(C, spec, sol)
@@ -835,6 +837,36 @@ def test_solve_submodular_rejects_supermodular():
     bad = SetFunctionCost(k=2, table=np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         solve_submodular(bad, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("k", [16, 17])
+def test_solve_submodular_check_holds_on_both_sides_of_the_table_cap(k):
+    cut = build_maxcut_cost(random_graph(np.random.default_rng(43), k))
+    x = np.full(k, 0.5)
+    if k <= SET_FUNCTION_TABLE_CAP:  # enumerated, and the negated cut function is not submodular
+        with pytest.raises(ValueError, match="not submodular"):
+            solve_submodular(cut, x)
+    else:
+        with pytest.raises(ValueError, match="check=False"):
+            solve_submodular(cut, x)
+
+
+def test_implicit_set_function_past_the_table_cap():
+    rng = np.random.default_rng(44)
+    G = random_graph(rng, 20)
+    cut = build_maxcut_cost(G)
+    assert cut.table is None
+    masks = rng.integers(0, 2**20, 50)
+    J = (masks[:, None] >> np.arange(20)) & 1
+    assert np.array_equal(cut.evaluate_batch(J), [-G.cut_value(int(m)) for m in masks])
+    assert cut.upper_bound() == G.edge_count
+    with pytest.raises(ValueError, match="table cap"):
+        cut.with_table()
+    x = rng.random(20)
+    sol = solve_submodular(cut, x, check=False)
+    assert sol.backend == "lovasz"
+    assert is_coupling(sol.coupling, bernoulli_spec(x))
+    assert inner_product(sol.coupling, cut) == sol.value
 
 
 def test_solve_submodular_matches_lp_random():

@@ -91,6 +91,21 @@ def test_minimize_envelope_constant_cost():
     assert math.isclose(em.value, 1.75, rel_tol=1e-9)
 
 
+# (x1 or x2), (x1 or not x2), (not x1 or x2), (not x1 or not x2): unsatisfiable, so c_max = 0
+UNSAT_2CNF = build_twosat_cost(CnfFormula(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))))
+
+
+@pytest.mark.parametrize("case", ["zero cost", "unsatisfiable 2-CNF", "dense times 1e-8"])
+def test_flat_envelopes_certify_at_the_first_query(case):
+    C = {
+        "zero cost": DenseCost(np.zeros((3, 3, 3))),
+        "unsatisfiable 2-CNF": UNSAT_2CNF,
+        "dense times 1e-8": DenseCost(1e-8 * random_cost(np.random.default_rng(46), "dense", 3, 3).materialize()),
+    }[case]
+    em = minimize_envelope_exact(MotOracle.exact_lp(C), None)
+    assert em.certified and em.iterations == 1
+
+
 def test_minimize_envelope_monotone_descent():
     rng = np.random.default_rng(3)
     C = random_cost(rng, "dense", 3, 3)

@@ -21,7 +21,6 @@ from motlab import (
     marginal,
     min_bruteforce,
     min_via_mot_exact,
-    motsolve,
     round_to_polytope,
     sinkhorn,
     solve_lp,
@@ -241,7 +240,7 @@ def test_transport_lp_checks_the_cap_before_enumerating(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated the n^k index tuples before checking the cap")
 
-    monkeypatch.setattr(motsolve, "all_index_tuples", enumerated)
+    monkeypatch.setattr(TransportLP, "_add", enumerated)
     monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K - 1))
     with pytest.raises(CapExceededError):
         TransportLP(_PAIRWISE, range(_K))
@@ -308,6 +307,7 @@ def test_value_types_compare_by_contents():
 # (constrained, marginals) pairs on n = k = 2 that MarginalSpec must refuse
 _BAD_MARGINALS = {
     "negative entry": ((0, 1), ([1.1, -0.1], [0.5, 0.5]), "negative entry"),
+    "nan entry": ((0, 1), ([np.nan, 1.0], [0.5, 0.5]), "non-finite entry"),
     "sum 0.9": ((0, 1), ([0.45, 0.45], [0.5, 0.5]), "sums to"),
     "wrong length": ((0, 1), ([1.0], [0.5, 0.5]), "shape"),
     "duplicate mode": ((0, 0), ([0.5, 0.5], [0.5, 0.5]), "duplicate"),
