@@ -261,6 +261,8 @@ def _batch_worker(argv: list[str]) -> tuple[int, dict]:
 
 
 def _run_batch(args) -> tuple[int, dict]:
+    if args.jobs < 1:
+        raise formats.SchemaError(f"--jobs must be at least 1, got {args.jobs}")
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text())

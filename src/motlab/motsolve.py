@@ -108,13 +108,13 @@ class HighsLP:
     An LP starts as its equality rows with no columns, one HiGHS model on
     scipy's private bindings with the one option set.  Every column enters
     through ``add_cols``; ``set_rhs`` changes the equality bounds in place.
-    ``solve`` clears the solver before it runs, so its x and duals depend
-    only on the LP as it stands, never on an earlier basis.  ``resolve``
-    returns the same but starts from the basis the last run left: the
-    optimal value does not depend on which optimal basis is found, so only
-    its roundoff can differ from a cold run.  Both are checked as linprog
-    checks its result.  Without the private bindings both call ``linprog``
-    on the same LP.
+    ``solve`` runs from the basis the last run left (none, on a new model):
+    a new rhs or row leaves it dual feasible and a new column primal
+    feasible, so a run restarts with a few pivots.  Only the optimal value
+    is independent of the basis found.  A run that does not end optimal is
+    cleared and run once more from cold, and the result is checked as
+    linprog checks its own; without the private bindings ``solve`` calls
+    ``linprog`` on the same LP.
     """
 
     def __init__(self, b_eq, what: str):
@@ -125,11 +125,10 @@ class HighsLP:
         self._row_lower = np.array(b_eq, dtype=float)
         self._row_upper = self._row_lower.copy()
         self._col_lower = np.zeros(0)
-        # costs, equality rows and added rows, kept for linprog only
-        self._c, self._A_eq = np.zeros(0), sp.csc_array((self._m, 0))
-        self._rows: list[np.ndarray] = []
         self._highs = None
         if _core is None:
+            # costs, equality rows and added rows, kept for linprog only
+            self._c, self._A_eq, self._rows = np.zeros(0), sp.csc_array((self._m, 0)), []
             return
         self._highs = _core._Highs()
         if self._highs.passOptions(_HIGHS_OPTIONS) == _core.HighsStatus.kError:
@@ -178,26 +177,16 @@ class HighsLP:
             raise RuntimeError(f"HiGHS rejected the {self.what} columns")
 
     def solve(self):
-        """Cold-start solve: x, the objective value, the equality-row duals
-        and the iteration count.  Raises RuntimeError naming the LP, with
+        """x, the objective value, the equality-row duals and the iteration
+        count, run from the last basis and once more from cold if that run
+        does not end optimal.  Raises RuntimeError naming the LP, with
         HiGHS's or linprog's own status, when there is no checked optimum."""
         if self._highs is None:
             return self._linprog()
-        self._highs.clearSolver()
         self._highs.run()
-        return self._result()
-
-    def resolve(self):
-        """What ``solve`` returns, warm-started from the last basis; a run
-        that does not end optimal is cleared and run once more from cold.
-        Raises as ``solve`` does."""
-        if self._highs is None:
-            return self._linprog()
-        highs = self._highs
-        highs.run()
-        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
-            highs.clearSolver()
-            highs.run()
+        if self._highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            self._highs.clearSolver()
+            self._highs.run()
         return self._result()
 
     def _result(self):
@@ -287,24 +276,25 @@ class TransportLP:
     mode ``constrained[r]``; only its shape is checked, and every row must
     lie on the simplex.
 
-    The LP is a master on the tuples it holds, which every query keeps.
-    ``solve`` runs it cold and ``value`` warm-started from the last basis,
-    returning the optimal value alone: it agrees with ``solve`` up to
-    roundoff and skips both the cold start and building the coupling.
-    Below ``_CG_MIN_COLUMNS`` columns (n^k) the constructor adds every
-    tuple, so the master is the full LP and ``solve`` returns the basic
-    solution a one-shot ``linprog`` call would, bit for bit: its coupling
-    and duals never depend on an earlier query.
+    The LP is a master on the tuples it holds, which every query keeps.  Each
+    run starts from the basis the last one left (``HighsLP.solve``), and
+    ``value`` differs from ``solve`` only in returning the optimal value
+    alone, without building the coupling.  Below ``_CG_MIN_COLUMNS`` columns
+    (n^k) the constructor adds every tuple, so the master is the full LP and
+    a new instance's first query is a cold run: one-shot ``solve_lp`` returns
+    what ``linprog`` would, bit for bit.  Later queries agree on the value up
+    to roundoff; their coupling and duals are an optimal pair that can
+    depend on earlier queries.
 
     From ``_CG_MIN_COLUMNS`` columns on, the master starts empty and column
     generation grows it.  A query adds the multimarginal north-west-corner
     tuples of its marginals, runs the master, and prices every tuple with
-    the reduced cost C - sum_r y_r[j_constrained[r]] under the row duals y;
-    later runs start from the last basis.  Up to n k of the most negative
-    tuples not yet held are added, until none is below -``_DUAL_TOL``.  The
-    duals are then feasible for the full LP, a certificate that is checked
-    over every tuple before the answer is returned: the value is the full
-    LP's up to roundoff, but the basic solution may be another optimal one.
+    the reduced cost C - sum_r y_r[j_constrained[r]] under the row duals y.
+    Up to n k of the most negative tuples not yet held are added, until none
+    is below -``_DUAL_TOL``.  The duals are then feasible for the full LP, a
+    certificate that is checked over every tuple before the answer is
+    returned: the value is the full LP's up to roundoff, but the basic
+    solution may be another optimal one.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -314,6 +304,8 @@ class TransportLP:
         constrained = tuple(constrained)
         if not constrained:
             raise ValueError("at least one constrained mode is required")
+        if not all(isinstance(i, (int, np.integer)) for i in constrained) or len(set(constrained)) < len(constrained):
+            raise ValueError(f"constrained modes must be distinct integers, got {constrained}")
         if any(i < 0 or i >= C.k for i in constrained):
             raise ValueError(f"constrained mode out of range [0, {C.k})")
         n, k = C.n, C.k
@@ -377,9 +369,9 @@ class TransportLP:
             red -= along(y_i, i, self.k)
         return red.ravel()
 
-    def _run(self, mu, first_run):
-        """Answer the checked marginals ``mu``: ``first_run`` runs the master
-        once, then column generation prices while some tuple is not held.
+    def _run(self, mu):
+        """Answer the checked marginals ``mu``: run the master once, then
+        price by column generation while some tuple is not held.
         Returns what a ``HighsLP`` run does, with the iterations summed over
         all runs, and the flat tuple index of each column of x."""
         with self._lock:
@@ -387,7 +379,7 @@ class TransportLP:
             if self._cols.size < self._cost.size:
                 corner = self._nw_corner(mu)
                 self._add(corner[~self._held[corner]])
-            x, fun, y, nit = first_run()
+            x, fun, y, nit = self._lp.solve()
             rounds, width = 1, self.n * self.k
             while self._cols.size < self._cost.size:
                 red = self._reduced_costs(y)
@@ -406,13 +398,13 @@ class TransportLP:
                 if new.size > width:
                     new = np.sort(new[np.argpartition(red[new], width)[:width]])
                 self._add(new)
-                x, fun, y, it = self._lp.resolve()
+                x, fun, y, it = self._lp.solve()
                 rounds, nit = rounds + 1, nit + it
             return x, fun, y, nit, self._cols
 
     def value(self, mu) -> float:
-        """Optimal value for the marginals ``mu``, warm-started from the last query."""
-        return float(self._run(self._checked(mu), self._lp.resolve)[1])
+        """Optimal value for the marginals ``mu``."""
+        return float(self._run(self._checked(mu))[1])
 
     def solve(self, mu) -> MotSolution:
         """Optimal value, basic coupling and dual potentials for the marginals ``mu``.
@@ -421,7 +413,7 @@ class TransportLP:
         solution (support at most the constraint-matrix rank).
         """
         mu = self._checked(mu)
-        x, fun, y, nit, cols = self._run(mu, self._lp.solve)
+        x, fun, y, nit, cols = self._run(mu)
         support = x > _SUPPORT_EPS
         n, k = self.n, self.k
         idx = np.stack(np.unravel_index(cols[support], (n,) * k), axis=1)

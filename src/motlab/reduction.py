@@ -65,7 +65,8 @@ class MotOracle:
 
     @classmethod
     def exact_lp(cls, C: CostOracle) -> "MotOracle":
-        """Exact LP answers on fully fixed marginals, from one ``TransportLP``."""
+        """Exact LP answers on fully fixed marginals from one warm-started
+        ``TransportLP``: which optimal coupling comes out can depend on earlier queries."""
         lp = TransportLP(C, range(C.k))
 
         def fn(mu):
@@ -173,8 +174,9 @@ class CuttingPlaneMaster:
     Rows are the k simplex equalities and then one -t + <g_s, mu> <= -b_s
     row per cut; columns are t (free) and then mu flattened row-major, the
     column of mu_i[j] with a one in row i.  One ``HighsLP`` holds the simplex
-    rows and ``add_cut`` appends a row to it; its solves start cold, so a
-    solution depends only on the rows present and never on an earlier basis.
+    rows and ``add_cut`` appends a row to it.  A cut leaves the last optimal
+    basis dual feasible, so each solve restarts from it: the bound does not
+    depend on which optimal basis is found, the minimizing mu may.
     """
 
     def __init__(self, n: int, k: int):
@@ -286,9 +288,13 @@ def min_via_mot_exact(C: CostOracle, p=None) -> MinResult:
     """End-to-end exact tuple minimization through the transport oracle.
 
     Purifies the optimal coupling at the best query of a cutting-plane run
-    at ``minimize_envelope_exact``'s defaults.  ``gap`` is the witness value minus the master lower bound, so
-    value - gap <= min f <= value (unclamped: roundoff can make it slightly
-    negative); the witness is exact when gap is below the objective spacing.
+    at ``minimize_envelope_exact``'s defaults.  Every optimal coupling there
+    has expected objective equal to the best value, so at whichever optimal
+    basis the LPs reach, ``gap`` (witness value minus master lower bound)
+    gives value - gap <= min f <= value (unclamped: roundoff can make it
+    slightly negative); the witness is exact when gap is below the objective
+    spacing.  Each call builds its own LPs, so the result depends only on
+    the input.
     """
     p = as_weights(p, C.n, C.k)
     oracle = MotOracle.exact_lp(C)

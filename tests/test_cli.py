@@ -358,6 +358,18 @@ def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
     assert [r["exit_code"] for r in rows] == ["0", "3", "2"]
 
 
+@pytest.mark.parametrize("njobs", [0, -4])
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, njobs):
+    save_instance(tmp_path / "i.json", random_cost(np.random.default_rng(9), "dense", 2, 2),
+                  MarginalSpec.fully_fixed(random_marginals(np.random.default_rng(9), 2, 2)))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"jobs": [{"command": "solve-mot", "instance": "i.json"}]}))
+    out = tmp_path / "s.csv"
+    assert main(["batch", str(mpath), "--jobs", str(njobs), "--csv", str(out)]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "reports").exists()
+
+
 def test_batch_reference_failure_sets_exit(tmp_path):
     C = random_cost(np.random.default_rng(6), "dense", 2, 2)
     save_instance(tmp_path / "i.json", C, MarginalSpec.fully_fixed(random_marginals(np.random.default_rng(7), 2, 2)))

@@ -168,6 +168,18 @@ def _same_lp_solution(a, b):
     )
 
 
+def _certifies_one_shot(C, spec, sol):
+    """A reused LP's answer: the one-shot ``solve_lp`` value to roundoff,
+    strong duality, feasible duals and a coupling of the spec.  Which of
+    several optimal pairs it is may depend on the queries before it."""
+    return (
+        _close_to_cold(sol.value, solve_lp(C, spec).value)
+        and abs(sol.value - sol.dual_value) <= 1e-9
+        and check_dual_feasibility(C, sol.duals)
+        and is_coupling(sol.coupling, spec)
+    )
+
+
 def test_highs_model_matches_linprog_fallback_bitwise(monkeypatch):
     rng = np.random.default_rng(31)
     cases = [(C, spec) for family, n, k in FAMILY_SIZES
@@ -217,10 +229,13 @@ def test_highs_options_are_built_once_and_copied_into_each_model(monkeypatch):
     assert all(highs.getOptions().presolve == "on" for highs in models)
 
 
-def _infeasible_lp():
-    """x0 = 1 as an equality row, then x0 <= 0."""
+def _infeasible_lp(solved_first=False):
+    """x0 = 1 as an equality row, then x0 <= 0; ``solved_first`` runs the
+    LP to its optimum once before the second row is added."""
     lp = motsolve.HighsLP(np.ones(1), "test LP")
     lp.add_cols(np.ones(2), np.zeros(2), np.ones(1), np.zeros(1, dtype=np.int32), np.array([0, 1, 1], dtype=np.int32))
+    if solved_first:
+        assert lp.solve()[1] == 1.0
     lp.add_row(np.array([1.0, 0.0]), 0.0)
     return lp
 
@@ -231,7 +246,7 @@ def test_lp_failure_names_the_lp(monkeypatch, private_bindings):
         monkeypatch.setattr(motsolve, "_core", None)
     elif motsolve._core is None:
         pytest.skip("needs scipy's private HiGHS bindings")
-    lp = _infeasible_lp()
+    lp = _infeasible_lp(solved_first=True)  # the failing run starts from an optimal basis
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
         lp.solve()
 
@@ -241,8 +256,10 @@ def test_transport_lp_reuse_matches_one_shot_solves():
     C = random_cost(rng, "two_sat", 2, 4)
     lp = TransportLP(C, range(4))
     specs = _lp_specs(rng, 2, 4)[:3] * 2
+    # a new model's first run is cold, so it is the one-shot answer bit for bit
+    assert _same_lp_solution(lp.solve(_rows(specs[0])), solve_lp(C, specs[0]))
     for spec in specs:
-        assert _same_lp_solution(lp.solve(_rows(spec)), solve_lp(C, spec))
+        assert _certifies_one_shot(C, spec, lp.solve(_rows(spec)))
     with pytest.raises(ValueError, match="built for"):
         lp.solve(_rows(_lp_specs(rng, 2, 4)[3]))
 
@@ -285,22 +302,22 @@ def test_warm_values_match_cold_solves():
     rng = np.random.default_rng(34)
     count = 0
     for family, C, specs in _value_corpus(rng):
-        warm, cold = TransportLP(C, range(C.k)), TransportLP(C, range(C.k))
+        warm = TransportLP(C, range(C.k))
         for spec in specs:
-            value, expected = warm.value(_rows(spec)), cold.solve(_rows(spec)).value
+            value, expected = warm.value(_rows(spec)), solve_lp(C, spec).value
             assert _close_to_cold(value, expected), (family, spec.marginals, value, expected)
             count += 1
     assert count == 10 * 10 * 40
 
 
-def test_interleaved_values_leave_solves_cold():
+def test_interleaved_values_and_solves_certify():
     rng = np.random.default_rng(35)
     for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=12):
         lp = TransportLP(C, range(C.k))
         for spec in specs:
             value = lp.value(_rows(spec))
             sol = lp.solve(_rows(spec))
-            assert _same_lp_solution(sol, solve_lp(C, spec)), family
+            assert _certifies_one_shot(C, spec, sol), family
             assert _close_to_cold(value, sol.value), family
     with pytest.raises(ValueError, match="built for"):
         lp.value(_rows(MarginalSpec.partial(C.n, C.k, {0: specs[0].marginals[0]})))
@@ -315,6 +332,13 @@ def test_transport_lp_rejects_a_wrongly_shaped_point(shape):
         lp.value(np.full(shape, 1.0 / 3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         lp.solve(np.full(shape, 1.0 / 3))
+
+
+@pytest.mark.parametrize("constrained", [(0, 0), (1, 2, 1), (1.5,), (0, np.float64(1.0))])
+def test_transport_lp_rejects_duplicate_and_non_integer_modes(constrained):
+    C = random_cost(np.random.default_rng(1), "dense", 3, 3)
+    with pytest.raises(ValueError, match="distinct integers"):
+        TransportLP(C, constrained)
 
 
 def test_value_without_private_bindings_is_the_linprog_value(monkeypatch):
@@ -373,7 +397,7 @@ def test_value_failure_names_the_lp(monkeypatch, private_bindings):
         lp._highs = _NotOptimalAtFirst(lp._highs, bad=0)
         calls = lp._highs.calls
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
-        lp.resolve()
+        lp.solve()
     assert calls.count("run") == (2 if private_bindings else 0)
 
 
