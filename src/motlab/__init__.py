@@ -53,7 +53,6 @@ from .reduction import (
 from .tensors import (
     CapExceededError,
     CouplingTensor,
-    DualPotentials,
     MarginalSpec,
     entropy,
     inner_product,

@@ -69,7 +69,7 @@ def _run_solve_mot(args) -> tuple[int, dict]:
     if args.backend == "lp":
         sol = solve_lp(inst.cost, inst.spec)
         report["dual_value"] = sol.dual_value
-        report["duals"] = sol.duals.p.tolist()
+        report["duals"] = sol.duals.tolist()
     elif args.backend == "sinkhorn":
         cfg = SinkhornConfig(eta=args.eta, tol=args.tol, max_iters=args.max_iters)
         sol = sinkhorn(inst.cost, inst.spec, cfg)
@@ -195,6 +195,8 @@ def _run_verify(args) -> tuple[int, dict]:
         report = hardness.verify_buckingham(inst.cost, seed=args.seed)
     elif kind == "gap":
         params = json.loads(Path(args.inputs[0]).read_text())
+        if not isinstance(params, dict):
+            raise formats.SchemaError("verify gap params must be a JSON object")
         params = {k: formats.parse_float(v) for k, v in params.items()}
         if args.n is None:
             raise formats.SchemaError("verify gap needs --n RANGE")
@@ -218,6 +220,8 @@ def _run_verify(args) -> tuple[int, dict]:
 
 
 def _job_argv(job: dict, base: Path, default_seed: int, idx: int, out_dir: Path) -> list[str]:
+    if not isinstance(job, dict):
+        raise formats.SchemaError(f"job {idx}: must be a JSON object, got {type(job).__name__}")
     cmd = job.get("command")
     if cmd not in ("solve-mot", "solve-min", "verify"):
         raise formats.SchemaError(f"job {idx}: unknown command {cmd!r}")
@@ -227,12 +231,17 @@ def _job_argv(job: dict, base: Path, default_seed: int, idx: int, out_dir: Path)
         inputs = job.get("inputs", [])
         if isinstance(inputs, str):
             inputs = [inputs]
+        if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+            raise formats.SchemaError(f"job {idx}: inputs must be a path or a list of paths")
         argv += [str(base / p) for p in inputs]
     else:
         if "instance" not in job:
             raise formats.SchemaError(f"job {idx}: missing instance")
         argv.append(str(base / job["instance"]))
-    flags = dict(job.get("flags", {}))
+    flags = job.get("flags", {})
+    if not isinstance(flags, dict):
+        raise formats.SchemaError(f"job {idx}: flags must be a JSON object")
+    flags = dict(flags)
     flags.setdefault("seed", default_seed + idx)
     jid = job.get("id", f"job{idx:03d}")
     flags.setdefault("out", str(out_dir / f"{jid}.report.json"))
@@ -268,10 +277,10 @@ def _run_batch(args) -> tuple[int, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise formats.SchemaError(f"invalid manifest JSON: {exc}") from exc
-    jobs = manifest.get("jobs")
+    jobs = manifest.get("jobs") if isinstance(manifest, dict) else None
     if not isinstance(jobs, list) or not jobs:
-        raise formats.SchemaError("manifest needs a nonempty 'jobs' list")
-    default_seed = int(manifest.get("seed", 0))
+        raise formats.SchemaError("manifest needs to be an object with a nonempty 'jobs' list")
+    default_seed = formats.parse_int(manifest.get("seed", 0))
     base = manifest_path.parent
     out_dir = Path(args.out_dir) if args.out_dir else base / "reports"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -61,6 +61,21 @@ def parse_float(v) -> float:
     return x
 
 
+def parse_int(v) -> int:
+    """An integer field: an int, an integral float or a decimal integer
+    string; bools, fractions and anything else raise SchemaError."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError as exc:
+            raise SchemaError(f"bad integer literal {v!r}") from exc
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise SchemaError(f"expected an integer, got {v!r}")
+
+
 def parse_float_array(v, shape=None) -> np.ndarray:
     def walk(node):
         if isinstance(node, list):
@@ -139,7 +154,7 @@ def decode_cost(doc: dict, n: int, k: int) -> CostOracle:
         if fam == "pairwise":
             tables = {}
             for entry in doc["tables"]:
-                i, i2 = int(entry["i"]) - 1, int(entry["j"]) - 1
+                i, i2 = parse_int(entry["i"]) - 1, parse_int(entry["j"]) - 1
                 tables[(i, i2)] = parse_float_array(entry["g"], shape=(n, n))
             return PairwiseCost(n=n, k=k, tables=tables)
         if fam in ("determinant", "log_determinant"):
@@ -151,10 +166,9 @@ def decode_cost(doc: dict, n: int, k: int) -> CostOracle:
                 raise SchemaError("set_function costs require n = 2")
             return SetFunctionCost(k=k, table=parse_float_array(doc["table"], shape=(2**k,)))
         if fam in ("coulomb", "coulomb_buckingham"):
-            charges = doc.get("charges", [1] * n)
             return IonCost(
                 positions=parse_float_array(doc["positions"], shape=(n, 3)),
-                charges=np.asarray(charges, dtype=int),
+                charges=np.array([parse_int(q) for q in doc.get("charges", [1] * n)], dtype=int),
                 k=k,
                 m_penalty=parse_float(doc["M"]),
                 a_plus=parse_float(doc.get("A_plus", 1.0)),
@@ -168,7 +182,7 @@ def decode_cost(doc: dict, n: int, k: int) -> CostOracle:
         if fam == "two_sat":
             if n != 2:
                 raise SchemaError("two_sat costs require n = 2")
-            clauses = tuple(tuple(int(l) for l in cl) for cl in doc["clauses"])
+            clauses = tuple(tuple(parse_int(l) for l in cl) for cl in doc["clauses"])
             cnf = CnfFormula(num_vars=k, clauses=clauses)
             if cnf.max_width > 2:
                 raise SchemaError("two_sat clauses must have width at most 2")
@@ -212,10 +226,7 @@ def parse_instance(doc: dict) -> Instance:
     for key in ("n", "k", "cost"):
         if key not in doc:
             raise SchemaError(f"instance missing required key {key!r}")
-    try:
-        n, k = int(doc["n"]), int(doc["k"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("n and k must be integers") from exc
+    n, k = parse_int(doc["n"]), parse_int(doc["k"])
     if n < 1 or k < 1:
         raise SchemaError("n and k must be positive")
     cost = decode_cost(doc["cost"], n, k)
@@ -224,8 +235,10 @@ def parse_instance(doc: dict) -> Instance:
     if "marginals" in doc and doc["marginals"] is not None:
         m = doc["marginals"]
         try:
-            modes = [int(i) - 1 for i in m["constrained"]]
+            modes = [parse_int(i) - 1 for i in m["constrained"]]
             values = m["values"]
+            if len(set(modes)) < len(modes):
+                raise SchemaError(f"repeated constrained mode in {m['constrained']}")
             if len(values) != len(modes):
                 raise SchemaError("one marginal vector required per constrained mode")
             fixed = {
@@ -311,11 +324,11 @@ def read_dimacs_graph(path) -> tuple[int, list[tuple[int, int]]]:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] not in ("edge", "edges"):
                 raise SchemaError(f"bad DIMACS problem line: {' '.join(fields)}")
-            num, declared = int(fields[2]), int(fields[3])
+            num, declared = parse_int(fields[2]), parse_int(fields[3])
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise SchemaError(f"bad edge line: {' '.join(fields)}")
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            edges.append((parse_int(fields[1]) - 1, parse_int(fields[2]) - 1))
         else:
             raise SchemaError(f"unexpected DIMACS line: {' '.join(fields)}")
     if num is None:
@@ -342,11 +355,11 @@ def read_kpartite(path, sidecar_path) -> KPartiteGraph:
     num, edges = read_dimacs_graph(path)
     try:
         side = json.loads(Path(sidecar_path).read_text())
-        n, k = int(side["n"]), int(side["k"])
+        n, k = parse_int(side["n"]), parse_int(side["k"])
         classes = side["classes"]
         if len(classes) != num:
             raise SchemaError(f"sidecar maps {len(classes)} vertices, graph has {num}")
-        vmap = [(int(c) - 1, int(i) - 1) for c, i in classes]
+        vmap = [(parse_int(c) - 1, parse_int(i) - 1) for c, i in classes]
         pedges = tuple((vmap[u], vmap[v]) for u, v in edges)
         return KPartiteGraph(n=n, k=k, edges=pedges)
     except SchemaError:
@@ -384,9 +397,9 @@ def read_cnf(path) -> CnfFormula:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] != "cnf":
                 raise SchemaError(f"bad DIMACS problem line: {' '.join(fields)}")
-            num_vars = int(fields[2])
+            num_vars = parse_int(fields[2])
         else:
-            lits = [int(x) for x in fields]
+            lits = [parse_int(x) for x in fields]
             if lits[-1] != 0:
                 raise SchemaError("clause line must end with 0")
             clause = tuple(lits[:-1])

@@ -31,12 +31,14 @@ class MinResult:
 
 
 def as_weights(p, n: int, k: int) -> np.ndarray:
-    """Validate and return a (k, n) weight matrix; None means all zeros."""
+    """Validate and return a finite (k, n) weight matrix; None means all zeros."""
     if p is None:
         return np.zeros((k, n))
     p = np.asarray(p, dtype=float)
     if p.shape != (k, n):
         raise ValueError(f"weight matrix has shape {p.shape}, want ({k}, {n})")
+    if not np.isfinite(p).all():
+        raise ValueError("weight matrix has a non-finite entry")
     return p
 
 

@@ -22,9 +22,10 @@ from .costs import SET_FUNCTION_TABLE_CAP, CostOracle, SetFunctionCost, is_submo
 from .minsolve import objective_tensor
 from .tensors import (
     CouplingTensor,
-    DualPotentials,
     MarginalSpec,
+    _equal_fields,
     along,
+    checked_modes,
     others,
     scaled_mode_sum,
 )
@@ -35,7 +36,7 @@ _log = logging.getLogger("motlab")
 _SUPPORT_EPS = 1e-12
 
 # Dual feasibility tolerance: of check_dual_feasibility, and of the pricing
-# step that ends column generation.
+# step that ends column generation and certifies its answer.
 _DUAL_TOL = 1e-9
 
 # Transport LPs of at least this many columns (n^k) start from a restricted
@@ -232,18 +233,21 @@ class MotSolution:
 
     ``value`` is the backend's objective: the linear cost for the LP and
     Lovász backends, the entropically regularized objective for Sinkhorn.
-    LP solutions carry dual potentials certifying optimality; ``dual_value``
-    restates their objective for the strong-duality check.
+    LP solutions carry the dual potentials certifying optimality as a
+    read-only (k, n) array, row i for mode i (zero on free modes);
+    ``dual_value`` restates their objective for the strong-duality check.
     """
 
     value: float
     coupling: CouplingTensor
-    duals: DualPotentials | None
+    duals: np.ndarray | None
     backend: str
     converged: bool = True
     iterations: int = 0
     marginal_error: float = 0.0
     dual_value: float | None = None
+
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)
@@ -289,9 +293,10 @@ class TransportLP:
     From ``_CG_MIN_COLUMNS`` columns on, the master starts empty and column
     generation grows it.  A query adds the multimarginal north-west-corner
     tuples of its marginals, runs the master, and prices every tuple with
-    the reduced cost C - sum_r y_r[j_constrained[r]] under the row duals y.
-    Up to n k of the most negative tuples not yet held are added, until none
-    is below -``_DUAL_TOL``.  The duals are then feasible for the full LP, a
+    the reduced cost C - sum_i p_i[j_i] under the run's potentials p, the
+    row duals as a (k, n) array with zero rows on free modes.  Up to n k of
+    the most negative tuples not yet held are added, until none is below
+    -``_DUAL_TOL``.  The potentials are then feasible for the full LP, a
     certificate that is checked over every tuple before the answer is
     returned: the value is the full LP's up to roundoff, but the basic
     solution may be another optimal one.
@@ -301,16 +306,13 @@ class TransportLP:
     """
 
     def __init__(self, C: CostOracle, constrained):
-        constrained = tuple(constrained)
+        constrained = checked_modes(constrained, C.k)
         if not constrained:
             raise ValueError("at least one constrained mode is required")
-        if not all(isinstance(i, (int, np.integer)) for i in constrained) or len(set(constrained)) < len(constrained):
-            raise ValueError(f"constrained modes must be distinct integers, got {constrained}")
-        if any(i < 0 or i >= C.k for i in constrained):
-            raise ValueError(f"constrained mode out of range [0, {C.k})")
         n, k = C.n, C.k
         self._cost = C.materialize()  # checks the dense cap before any n^k allocation
         self.n, self.k, self.constrained = n, k, constrained
+        self._rows = np.array(constrained)  # the potentials' row of each block of n equality rows
         self._held = np.zeros(self._cost.size, dtype=bool)  # tuples in the master, by flat index
         self._cols = np.zeros(0, dtype=np.int64)  # self._cols[c]: flat index of master column c
         self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
@@ -360,29 +362,30 @@ class TransportLP:
         np.minimum(tuples, self.n - 1, out=tuples)  # a row summing to just under 1
         return np.unique(np.ravel_multi_index(tuple(tuples.T), self._cost.shape))
 
-    def _reduced_costs(self, y) -> np.ndarray:
-        """C - sum_r y_r along mode constrained[r], flat; the same arithmetic
-        as ``check_dual_feasibility`` on the potentials of y."""
-        y = y.reshape(-1, self.n)
-        red = self._cost - along(y[0], self.constrained[0], self.k)
-        for i, y_i in zip(self.constrained[1:], y[1:]):
-            red -= along(y_i, i, self.k)
-        return red.ravel()
-
     def _run(self, mu):
-        """Answer the checked marginals ``mu``: run the master once, then
-        price by column generation while some tuple is not held.
-        Returns what a ``HighsLP`` run does, with the iterations summed over
-        all runs, and the flat tuple index of each column of x."""
+        """Answer the checked marginals ``mu``: run the master, then price by
+        column generation while some tuple is not held.  Returns x, the
+        objective value, the potentials, the iterations summed over all
+        runs, and the flat tuple index of each column of x.  The potentials
+        are each run's row duals as a read-only (k, n) array, free modes
+        getting zero rows."""
         with self._lock:
             self._lp.set_rhs(mu.ravel())
             if self._cols.size < self._cost.size:
                 corner = self._nw_corner(mu)
                 self._add(corner[~self._held[corner]])
-            x, fun, y, nit = self._lp.solve()
-            rounds, width = 1, self.n * self.k
-            while self._cols.size < self._cost.size:
-                red = self._reduced_costs(y)
+            rounds, nit, width = 0, 0, self.n * self.k
+            while True:
+                x, fun, y, it = self._lp.solve()
+                rounds, nit = rounds + 1, nit + it
+                p = np.zeros((self.k, self.n))
+                p[self._rows] = y.reshape(-1, self.n)
+                if self._cols.size == self._cost.size:
+                    break
+                red = self._cost - along(p[0], 0, self.k)  # a zero row subtracts exactly
+                for i in range(1, self.k):
+                    red -= along(p[i], i, self.k)
+                red = red.ravel()
                 new = np.flatnonzero(red < -_DUAL_TOL)
                 new = new[~self._held[new]]
                 if new.size == 0:
@@ -398,9 +401,8 @@ class TransportLP:
                 if new.size > width:
                     new = np.sort(new[np.argpartition(red[new], width)[:width]])
                 self._add(new)
-                x, fun, y, it = self._lp.solve()
-                rounds, nit = rounds + 1, nit + it
-            return x, fun, y, nit, self._cols
+            p.setflags(write=False)
+            return x, fun, p, nit, self._cols
 
     def value(self, mu) -> float:
         """Optimal value for the marginals ``mu``."""
@@ -413,21 +415,18 @@ class TransportLP:
         solution (support at most the constraint-matrix rank).
         """
         mu = self._checked(mu)
-        x, fun, y, nit, cols = self._run(mu)
+        x, fun, p, nit, cols = self._run(mu)
         support = x > _SUPPORT_EPS
         n, k = self.n, self.k
         idx = np.stack(np.unravel_index(cols[support], (n,) * k), axis=1)
         coupling = CouplingTensor.from_support(n, k, idx, x[support])
-        p = np.zeros((k, n))
-        p[list(self.constrained)] = y.reshape(-1, n)  # one length-n block per constrained mode
-
         return MotSolution(
             value=float(fun),
             coupling=coupling,
-            duals=DualPotentials(p),
+            duals=p,
             backend="lp",
             iterations=int(nit),
-            dual_value=float(mu.ravel() @ y),
+            dual_value=float(mu.ravel() @ p[self._rows].ravel()),
         )
 
 
@@ -646,6 +645,7 @@ def solve_submodular(C: SetFunctionCost, x, check: bool = True) -> MotSolution:
     )
 
 
-def check_dual_feasibility(C: CostOracle, duals: DualPotentials, tol: float = _DUAL_TOL) -> bool:
-    """Enumerated feasibility of potentials: every slack C_j - sum_i p[i][j_i] >= -tol."""
-    return float(objective_tensor(C, duals.p).min()) >= -tol
+def check_dual_feasibility(C: CostOracle, p) -> bool:
+    """Enumerated feasibility of the (k, n) potentials p: every slack
+    C_j - sum_i p[i][j_i] >= -``_DUAL_TOL``, the tolerance of the LP certificate."""
+    return float(objective_tensor(C, p).min()) >= -_DUAL_TOL

@@ -71,7 +71,7 @@ class MotOracle:
 
         def fn(mu):
             sol = lp.solve(mu)
-            return OracleAnswer(value=sol.value, duals=sol.duals.p, coupling=sol.coupling)
+            return OracleAnswer(value=sol.value, duals=sol.duals, coupling=sol.coupling)
 
         return cls(fn, C.n, C.k, 0.0, C.upper_bound())
 

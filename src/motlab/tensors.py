@@ -54,6 +54,19 @@ def all_index_tuples(n: int, k: int, lo: int = 0, hi: int | None = None) -> np.n
     return np.stack(np.unravel_index(flat, (n,) * k), axis=1)
 
 
+def checked_modes(constrained, k: int) -> tuple[int, ...]:
+    """The constrained modes as a tuple, once they are distinct integers (not
+    bools) in [0, k): the one rule of ``MarginalSpec`` and ``TransportLP``."""
+    modes = tuple(constrained)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in modes):
+        raise ValueError(f"constrained modes must be distinct integers, got {modes}")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"duplicate constrained mode: modes must be distinct integers, got {modes}")
+    if any(i < 0 or i >= k for i in modes):
+        raise ValueError(f"constrained mode out of range [0, {k}), got {modes}")
+    return modes
+
+
 def _equal_fields(self, other):
     """Value equality for the dataclasses here, whose fields hold arrays: the
     same type and every field equal under ``np.array_equal``."""
@@ -167,11 +180,7 @@ class MarginalSpec:
     def __post_init__(self):
         if self.k <= 0 or self.n <= 0:
             raise ValueError("n and k must be positive")
-        if len(set(self.constrained)) != len(self.constrained):
-            raise ValueError("duplicate constrained mode")
-        if any(i < 0 or i >= self.k for i in self.constrained):
-            raise ValueError(f"constrained mode out of range [0, {self.k})")
-        if tuple(sorted(self.constrained)) != self.constrained:
+        if tuple(sorted(checked_modes(self.constrained, self.k))) != self.constrained:
             raise ValueError("constrained modes must be sorted")
         if len(self.marginals) != len(self.constrained):
             raise ValueError("one marginal required per constrained mode")
@@ -221,35 +230,6 @@ class MarginalSpec:
         return self.marginals[self.constrained.index(i)]
 
 
-@dataclass(frozen=True)
-class DualPotentials:
-    """Per-mode potential vectors (p_1, ..., p_k), one length-n vector per mode.
-
-    Feasibility for the transport dual (every cost entry at least the sum of
-    its potentials) is a checkable property, not an invariant.
-    """
-
-    p: np.ndarray
-
-    __eq__ = _equal_fields
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2:
-            raise ValueError(f"expected (k, n) potential array, got shape {p.shape}")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def k(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[1]
-
-
 def along(v: np.ndarray, i: int, k: int) -> np.ndarray:
     """A length-n vector reshaped to broadcast along mode i of a k-mode tensor."""
     return v.reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
@@ -258,18 +238,6 @@ def along(v: np.ndarray, i: int, k: int) -> np.ndarray:
 def others(i: int, k: int) -> tuple[int, ...]:
     """Every mode of a k-mode tensor but i: the axes summed out for the i-th marginal."""
     return tuple(ax for ax in range(k) if ax != i)
-
-
-def mode_sum(arr: np.ndarray, i: int) -> np.ndarray:
-    """Sum out every mode of a dense cubical array but i: its i-th marginal.
-
-    The modes before and after i are flattened into one axis each, so one
-    einsum over an (n**i, n, rest) view does the work; on 7^6 entries that is
-    2-4x faster than ``arr.sum(axis=others(i, k))``, which ``marginal`` keeps
-    as the independent reference.
-    """
-    n = arr.shape[0]
-    return np.einsum("anb->n", arr.reshape(n**i, n, -1))
 
 
 # Each gemv of ``scaled_mode_sum`` contracts the fewest neighbouring modes
@@ -388,8 +356,9 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec) -> CouplingTensor:
 
     k = P.k
     arr = np.array(P.to_dense())
+    ones = [np.ones(P.n)] * k
     for i in range(k):
-        m = mode_sum(arr, i)
+        m = scaled_mode_sum(arr, ones, i)
         mu = spec.marginals[i]
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(m > 0, np.minimum(1.0, mu / m), 1.0)
@@ -397,7 +366,7 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec) -> CouplingTensor:
 
     deficits = []
     for i in range(k):
-        deficits.append(np.maximum(spec.marginals[i] - mode_sum(arr, i), 0.0))
+        deficits.append(np.maximum(spec.marginals[i] - scaled_mode_sum(arr, ones, i), 0.0))
     total = float(np.mean([d.sum() for d in deficits]))
     if total >= DEFICIT_EPS:
         corr = deficits[0]

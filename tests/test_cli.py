@@ -379,3 +379,48 @@ def test_batch_reference_failure_sets_exit(tmp_path):
                   "flags": {"backend": "lp"}, "reference_value": "1000.0", "tol": 1e-6}],
     }))
     assert main(["batch", str(mpath)]) == 1
+
+
+def _manifest_exit(tmp_path, manifest, capsys):
+    """Exit code of ``motlab batch`` on a manifest with one valid instance beside it."""
+    save_instance(tmp_path / "i.json", random_cost(np.random.default_rng(10), "dense", 2, 2),
+                  MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    code = main(["batch", str(mpath), "--csv", str(tmp_path / "s.csv")])
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    return code
+
+
+_SOLVE_JOB = {"command": "solve-mot", "instance": "i.json"}
+
+
+def test_batch_rejects_a_manifest_that_is_a_list(tmp_path, capsys):
+    assert _manifest_exit(tmp_path, [_SOLVE_JOB], capsys) == EXIT_SCHEMA
+
+
+def test_batch_rejects_a_job_that_is_a_string(tmp_path, capsys):
+    assert _manifest_exit(tmp_path, {"jobs": [_SOLVE_JOB, "solve-mot i.json"]}, capsys) == EXIT_SCHEMA
+
+
+def test_batch_rejects_job_inputs_that_are_a_number(tmp_path, capsys):
+    job = {"command": "verify", "construction": "twosat", "inputs": 3}
+    assert _manifest_exit(tmp_path, {"jobs": [job]}, capsys) == EXIT_SCHEMA
+
+
+def test_batch_rejects_job_flags_that_are_not_an_object(tmp_path, capsys):
+    job = dict(_SOLVE_JOB, flags=5)
+    assert _manifest_exit(tmp_path, {"jobs": [job]}, capsys) == EXIT_SCHEMA
+
+
+def test_batch_rejects_a_fractional_seed(tmp_path, capsys):
+    assert _manifest_exit(tmp_path, {"seed": 7.5, "jobs": [_SOLVE_JOB]}, capsys) == EXIT_SCHEMA
+
+
+def test_verify_gap_rejects_params_that_are_a_list(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(["2.0", "1.0"]))
+    out = tmp_path / "r.json"
+    assert main(["verify", "gap", str(params), "--n", "8", "--out", str(out)]) == EXIT_SCHEMA
+    assert "error:" in capsys.readouterr().err and not out.exists()

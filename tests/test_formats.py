@@ -14,6 +14,7 @@ from motlab.formats import (
     load_instance,
     parse_float,
     parse_instance,
+    parse_int,
     read_cnf,
     read_graph,
     read_kpartite,
@@ -147,6 +148,9 @@ def test_dimacs_rejects_malformed(tmp_path):
     path.write_text("p edge 2 5\ne 1 2\n")
     with pytest.raises(SchemaError):
         read_graph(path)
+    path.write_text("p edge 2.5 1\ne 1 2\n")
+    with pytest.raises(SchemaError, match="integer"):
+        read_graph(path)
 
 
 def test_dimacs_cnf_round_trip(tmp_path):
@@ -175,3 +179,73 @@ def test_encode_instance_digest_matches_file(tmp_path):
     doc = save_instance(path, C)
     assert digest(doc) == digest(json.loads(path.read_text()))
     assert digest(encode_instance(C)) == instance_digest(C)
+
+
+def test_parse_int_accepts_whole_numbers_only():
+    assert [parse_int(v) for v in (3, 3.0, "3", "-2", np.int64(4))] == [3, 3, 3, -2, 4]
+    for bad in (True, False, 2.9, -1.5, "2.5", "abc", None, [1], float("nan"), float("inf")):
+        with pytest.raises(SchemaError):
+            parse_int(bad)
+
+
+_SWAP = {"family": "dense", "entries": [["0", "1"], ["1", "0"]]}
+_UNIFORM = ["0.5", "0.5"]
+
+
+@pytest.mark.parametrize("key", ["n", "k"])
+def test_instance_size_must_be_whole(key):
+    doc = {"n": 2, "k": 2, "cost": _SWAP}
+    inst = parse_instance(dict(doc, **{key: 2.0}))  # a whole float is accepted
+    assert (inst.n, inst.k) == (2, 2)
+    with pytest.raises(SchemaError, match="integer"):
+        parse_instance(dict(doc, **{key: 2.9}))  # used to be read as 2
+
+
+@pytest.mark.parametrize("constrained, values", [
+    ([1.7], [_UNIFORM]),  # used to be read as mode 1
+    ([True], [_UNIFORM]),  # likewise
+    ([1, 1], [["1", "0"], ["0", "1"]]),  # used to keep only the second marginal
+])
+def test_constrained_modes_must_be_whole_and_distinct(constrained, values):
+    doc = {"n": 2, "k": 2, "cost": _SWAP, "marginals": {"constrained": constrained, "values": values}}
+    with pytest.raises(SchemaError, match="integer|repeated"):
+        parse_instance(doc)
+
+
+@pytest.mark.parametrize("key, bad", [("i", 1.5), ("j", 2.7), ("i", True)])
+def test_pairwise_modes_must_be_whole(key, bad):
+    table = {"i": 1, "j": 2, "g": [["0", "1"], ["1", "0"]]}
+    doc = {"n": 2, "k": 2, "cost": {"family": "pairwise", "tables": [table]}}
+    assert parse_instance(doc).cost.family == "pairwise"
+    with pytest.raises(SchemaError, match="integer"):
+        parse_instance({**doc, "cost": {"family": "pairwise", "tables": [dict(table, **{key: bad})]}})
+
+
+def test_two_sat_literals_must_be_whole():
+    doc = {"n": 2, "k": 2, "cost": {"family": "two_sat", "clauses": [[1, -2]]}}
+    assert parse_instance(doc).cost.cnf.clauses == ((1, -2),)
+    with pytest.raises(SchemaError, match="integer"):
+        parse_instance({**doc, "cost": {"family": "two_sat", "clauses": [[1.5, -2.2]]}})  # was (1, -2)
+
+
+def test_ion_charges_must_be_whole():
+    cost = {"family": "coulomb", "positions": [["0", "0", "0"], ["1", "0", "0"]], "M": "10"}
+    doc = {"n": 2, "k": 2, "cost": dict(cost, charges=[1, -1])}
+    assert parse_instance(doc).cost.charges.tolist() == [1, -1]
+    with pytest.raises(SchemaError, match="integer"):
+        parse_instance({**doc, "cost": dict(cost, charges=[1.9, -1.2])})  # was [1, -1]
+
+
+@pytest.mark.parametrize("field", ["n", "k", "classes"])
+def test_kpartite_sidecar_integers_must_be_whole(tmp_path, field):
+    G = KPartiteGraph(n=2, k=3, edges=(((0, 0), (1, 1)),))
+    gp, sp = tmp_path / "g.dimacs", tmp_path / "g.classes.json"
+    write_kpartite(gp, sp, G)
+    side = json.loads(sp.read_text())
+    if field == "classes":
+        side["classes"][0][0] = 1.5  # was read as class 1
+    else:
+        side[field] += 0.5  # was truncated back
+    sp.write_text(json.dumps(side))
+    with pytest.raises(SchemaError, match="integer"):
+        read_kpartite(gp, sp)

@@ -9,7 +9,6 @@ from scipy.special import logsumexp
 from motlab import (
     CouplingTensor,
     DenseCost,
-    DualPotentials,
     MarginalSpec,
     MotSolution,
     SetFunctionCost,
@@ -31,7 +30,7 @@ from motlab import (
     suggest_eta,
 )
 from motlab.costs import SET_FUNCTION_TABLE_CAP
-from motlab.tensors import along, mode_sum, others
+from motlab.tensors import along, others
 from motlab.corpus import (
     random_cost,
     random_coverage_function,
@@ -75,7 +74,7 @@ def test_lp_strong_duality_and_feasible_duals():
         spec = MarginalSpec.fully_fixed(random_marginals(rng, n, k))
         sol = solve_lp(C, spec)
         assert abs(sol.value - sol.dual_value) <= 1e-6
-        assert check_dual_feasibility(C, sol.duals, 1e-9)
+        assert check_dual_feasibility(C, sol.duals)
 
 
 def test_lp_partial_marginals_duality():
@@ -86,10 +85,25 @@ def test_lp_partial_marginals_duality():
         spec = MarginalSpec.partial(n, k, {0: random_marginals(rng, n, 1)[0], 2: random_marginals(rng, n, 1)[0]})
         sol = solve_lp(C, spec)
         assert abs(sol.value - sol.dual_value) <= 1e-6
-        assert check_dual_feasibility(C, sol.duals, 1e-9)
+        assert check_dual_feasibility(C, sol.duals)
         # unconstrained mode gets zero potentials
-        assert np.allclose(sol.duals.p[1], 0.0)
+        assert np.array_equal(sol.duals[1], np.zeros(n))
         assert is_coupling(sol.coupling, spec, 1e-8)
+
+
+def test_lp_duals_are_one_read_only_array():
+    rng = np.random.default_rng(3)
+    C = random_cost(rng, "pairwise", 3, 3)
+    spec = MarginalSpec.partial(3, 3, {0: random_marginals(rng, 3, 1)[0], 2: random_marginals(rng, 3, 1)[0]})
+    one_shot, reused = solve_lp(C, spec), TransportLP(C, spec.constrained).solve(_rows(spec))
+    for sol in (one_shot, reused):
+        assert sol.duals.dtype == np.float64 and sol.duals.shape == (3, 3)
+        assert not sol.duals.flags.writeable and not sol.duals[1].any()
+        assert sol.dual_value == float(np.array(spec.marginals).ravel() @ sol.duals[[0, 2]].ravel())
+    assert one_shot == reused and not one_shot != reused
+    assert one_shot == solve_lp(C, spec)
+    other = solve_lp(C, MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)))
+    assert one_shot != other and not one_shot == other
 
 
 def test_lp_partial_beats_or_matches_full():
@@ -162,7 +176,7 @@ def _same_lp_solution(a, b):
     return (
         a.value == b.value
         and a.dual_value == b.dual_value
-        and np.array_equal(a.duals.p, b.duals.p)
+        and np.array_equal(a.duals, b.duals)
         and a.iterations == b.iterations
         and all(np.array_equal(x, y) for x, y in zip(a.coupling.support(), b.coupling.support()))
     )
@@ -334,7 +348,7 @@ def test_transport_lp_rejects_a_wrongly_shaped_point(shape):
         lp.solve(np.full(shape, 1.0 / 3))
 
 
-@pytest.mark.parametrize("constrained", [(0, 0), (1, 2, 1), (1.5,), (0, np.float64(1.0))])
+@pytest.mark.parametrize("constrained", [(0, 0), (1, 2, 1), (1.5,), (0, np.float64(1.0)), (True,), (0, True)])
 def test_transport_lp_rejects_duplicate_and_non_integer_modes(constrained):
     C = random_cost(np.random.default_rng(1), "dense", 3, 3)
     with pytest.raises(ValueError, match="distinct integers"):
@@ -515,10 +529,14 @@ def test_column_generation_logs_one_record_per_query(caplog):
 
 def test_dual_feasibility_checks():
     Z = DenseCost(np.zeros((2, 2)))
-    zero = DualPotentials(np.zeros((2, 2)))
-    assert check_dual_feasibility(Z, zero, 1e-9)
-    bumped = DualPotentials(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert not check_dual_feasibility(Z, bumped, 1e-9)
+    assert check_dual_feasibility(Z, np.zeros((2, 2)))
+    assert not check_dual_feasibility(Z, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # the one tolerance is the certificate's: slack down to -1e-9 passes
+    assert check_dual_feasibility(Z, np.array([[1e-9, 0.0], [0.0, 0.0]]))
+    assert not check_dual_feasibility(Z, np.array([[2e-9, 0.0], [0.0, 0.0]]))
+    for shape in [(2, 3), (3, 2), (4,), (2, 2, 1)]:
+        with pytest.raises(ValueError, match="shape"):
+            check_dual_feasibility(Z, np.zeros(shape))
 
 
 def test_sinkhorn_zero_cost_gives_product_coupling():
@@ -654,7 +672,7 @@ def _log_domain_sinkhorn(C, spec, cfg):
 
     def marginal_gap(P):
         return sum(
-            float(np.abs(mode_sum(P, i) - mu).sum())
+            float(np.abs(P.sum(axis=others(i, k)) - mu).sum())
             for i, mu in zip(spec.constrained, spec.marginals)
         )
 
@@ -668,7 +686,7 @@ def _log_domain_sinkhorn(C, spec, cfg):
     while not converged and cycles < cfg.max_iters:
         cycles += 1
         for i in spec.constrained:
-            m = mode_sum(P, i)
+            m = P.sum(axis=others(i, k))
             with np.errstate(divide="ignore", invalid="ignore"):
                 if m[np.isfinite(log_mu[i])].min() >= 2.0**-968:
                     log_m = np.log(m)
@@ -739,7 +757,7 @@ def test_sinkhorn_reports_a_best_iterate_from_before_an_absorption(caplog):
     # no cycle improves on the first iterate, so the kernel it was built on
     # is rebuilt after the absorptions; the error reported is the coupling's
     P = sol.coupling.to_dense()
-    gap = sum(float(np.abs(mode_sum(P, i) - mu).sum()) for i, mu in zip(spec.constrained, spec.marginals))
+    gap = sum(float(np.abs(P.sum(axis=others(i, C.k)) - mu).sum()) for i, mu in zip(spec.constrained, spec.marginals))
     assert math.isclose(gap, sol.marginal_error, rel_tol=1e-12)
     assert _same_sinkhorn_solution(sol, _log_domain_sinkhorn(C, spec, cfg))
 

@@ -9,7 +9,6 @@ import pytest
 from motlab import (
     CnfFormula,
     DenseCost,
-    DualPotentials,
     IonCost,
     MarginalSpec,
     MotOracle,
@@ -447,7 +446,7 @@ def _certifies_one_shot(C, spec, ans):
     return (
         abs(ans.value - cold) <= 1e-9 * max(1.0, abs(cold))
         and abs(ans.value - dual_value) <= 1e-9
-        and check_dual_feasibility(C, DualPotentials(ans.duals))
+        and check_dual_feasibility(C, ans.duals)
         and is_coupling(ans.coupling, spec)
     )
 
@@ -637,3 +636,24 @@ def test_master_fallback_matches_highs_path(monkeypatch):
             assert abs(res.value - brute.value) <= tol, family
             attained = float(weighted_objective(C, p, np.asarray([res.witness]))[0])
             assert abs(attained - brute.value) <= tol, family
+
+
+# Every min path on weights p, with the 2^3 cost 0..7; each must refuse a non-finite p.
+_MIN_PATHS = {
+    "min_bruteforce": lambda C, p: min_bruteforce(C, p),
+    "weighted_objective": lambda C, p: weighted_objective(C, p, np.zeros((1, 3), dtype=int)),
+    "min_via_mot_exact": lambda C, p: min_via_mot_exact(C, p),
+    "min_via_mot_approx": lambda C, p: min_via_mot_approx(MotOracle.noisy_lp(C, eps=0.01, seed=0), p, budget=20),
+    "envelope_value": lambda C, p: envelope_value(MotOracle.exact_lp(C), p, np.full((3, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_MIN_PATHS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected_by_every_min_path(path, bad):
+    # used to give value nan or -inf by enumeration, an unbounded master LP
+    # on the exact path, and inf on the approximate one
+    p = np.zeros((3, 2))
+    p[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _MIN_PATHS[path](DenseCost(np.arange(8.0).reshape(2, 2, 2)), p)

@@ -7,10 +7,10 @@ from motlab import (
     CapExceededError,
     CouplingTensor,
     DenseCost,
-    DualPotentials,
     LowRankCost,
     MarginalSpec,
     MotOracle,
+    MotSolution,
     PairwiseCost,
     SinkhornConfig,
     TransportLP,
@@ -26,7 +26,7 @@ from motlab import (
     solve_lp,
 )
 from motlab.corpus import random_dense, random_marginals
-from motlab.tensors import along, check_cap, marginal_matrix, mode_sum, others, scaled_mode_sum
+from motlab.tensors import along, check_cap, marginal_matrix, others, scaled_mode_sum
 
 
 def random_sparse_coupling(rng, n, k, m):
@@ -216,7 +216,7 @@ _DENSE_CAP_ENTRY_POINTS = {
     "CouplingTensor.to_dense": lambda: CouplingTensor.point_mass(_N, (0, 1, 1)).to_dense(),
     "round_to_polytope": lambda: round_to_polytope(CouplingTensor.point_mass(_N, (0, 1, 1)), _SPEC),
     "min_bruteforce": lambda: min_bruteforce(_PAIRWISE),
-    "check_dual_feasibility": lambda: check_dual_feasibility(_PAIRWISE, DualPotentials(np.zeros((_K, _N)))),
+    "check_dual_feasibility": lambda: check_dual_feasibility(_PAIRWISE, np.zeros((_K, _N))),
     "TransportLP": lambda: TransportLP(_PAIRWISE, range(_K)),
     "solve_lp": lambda: solve_lp(_PAIRWISE, _SPEC),
     "sinkhorn": lambda: sinkhorn(_PAIRWISE, _SPEC, SinkhornConfig(eta=1.0)),
@@ -288,19 +288,23 @@ def test_from_support_stores_sorted_read_only_arrays():
     assert np.array_equal(dense[tuple(idx.T)], vals) and np.count_nonzero(dense) == P.nnz() == 30
 
 
+def _lp_answer(duals):
+    return MotSolution(value=0.0, coupling=CouplingTensor.point_mass(3, (0, 1)), duals=duals, backend="lp")
+
+
 def test_value_types_compare_by_contents():
     pairs = [
         (CouplingTensor.point_mass(2, (0, 1)), CouplingTensor.point_mass(2, (1, 1))),
         (CouplingTensor.from_dense(np.eye(2) / 2), CouplingTensor.from_dense(np.eye(2)[::-1] / 2)),
         (MarginalSpec.point_masses(3, (0, 2)), MarginalSpec.partial(3, 2, {0: np.eye(3)[0]})),
-        (DualPotentials(np.zeros((2, 3))), DualPotentials(np.ones((2, 3)))),
+        (_lp_answer(np.zeros((2, 3))), _lp_answer(np.ones((2, 3)))),
     ]
     for a, b in pairs:
         same = type(a)(**{name: getattr(a, name) for name in vars(a)})
         assert a == same and not a != same
         assert a != b and not a == b
     assert CouplingTensor.point_mass(2, (0, 1)) != CouplingTensor.point_mass(3, (0, 1))
-    assert DualPotentials(np.zeros((2, 3))) != DualPotentials(np.zeros((3, 2)))
+    assert _lp_answer(np.zeros((2, 3))) != _lp_answer(np.zeros((3, 2)))
     assert MarginalSpec.point_masses(2, (0, 1)) != CouplingTensor.point_mass(2, (0, 1))
 
 
@@ -313,6 +317,8 @@ _BAD_MARGINALS = {
     "duplicate mode": ((0, 0), ([0.5, 0.5], [0.5, 0.5]), "duplicate"),
     "unsorted modes": ((1, 0), ([0.5, 0.5], [0.5, 0.5]), "sorted"),
     "mode out of range": ((0, 2), ([0.5, 0.5], [0.5, 0.5]), "out of range"),
+    "fractional mode": ((1.5,), ([0.5, 0.5],), "distinct integers"),
+    "bool mode": ((True,), ([0.5, 0.5],), "distinct integers"),
 }
 
 
@@ -332,6 +338,7 @@ def test_marginal_matrix_shape():
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (5, 1), (2, 10), (7, 6), (3, 3)])
 def test_mode_sum_matches_axis_sum(n, k):
+    # the unscaled mode sum, as round_to_polytope takes it
     rng = np.random.default_rng(n * 100 + k)
     arrays = [rng.random((n,) * k)]
     if n > 1:  # zero-padded: the last slice of every mode is empty
@@ -339,7 +346,7 @@ def test_mode_sum_matches_axis_sum(n, k):
     for arr in arrays:
         for i in range(k):
             ref = arr.sum(axis=others(i, k))
-            got = mode_sum(arr, i)
+            got = scaled_mode_sum(arr, [np.ones(n)] * k, i)
             assert got.shape == (n,)
             assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
