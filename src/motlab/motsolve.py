@@ -48,6 +48,15 @@ _DUAL_TOL = 1e-9
 # 35% of min_noisy's ops/s.
 _CG_MIN_COLUMNS = 512
 
+# Optimal bases a full-LP TransportLP keeps to answer ``value`` without a
+# HiGHS run, most recently used first.  Sized on the first 60 min_noisy ops
+# of seed 901 (2-core VM, one BLAS thread; median of 3 runs), against 27.6
+# ops/s with a HiGHS run per query: 1 basis 25.2 ops/s (7351 of 14196
+# queries answered by a kept basis), 2 bases 34.0 (10197), 4 bases 43.6
+# (11857), 8 bases 55.7 (12768), 16 bases 49.1 (12949).  Past 8 bases, a
+# miss tries more bases than the extra hits save.
+_BASIS_CACHE_SIZE = 8
+
 # Sinkhorn uses a mode's contraction c = scaled_mode_sum(K, u, i) as it is
 # only while every live entry is at least this times R, the largest product
 # of the other modes' scalings, prod_{m != i} max(1, max u_m).  An entry of
@@ -213,6 +222,17 @@ class HighsLP:
         y = np.array(solution.row_dual[: self._m])
         return x, info.objective_function_value, y, info.simplex_iteration_count
 
+    def basis(self):
+        """The basic columns and the rows whose slack is not basic, the square
+        block of the last run's basis, as sorted index arrays; private
+        bindings only."""
+        status, basic = self._highs.getBasicVariables()
+        if status != _core.HighsStatus.kOk:
+            raise RuntimeError(f"{self.what}: HiGHS holds no basis after an optimal run")
+        tight = np.ones(self._row_lower.size, dtype=bool)
+        tight[-1 - basic[basic < 0]] = False  # HiGHS numbers the slack of row r as -1 - r
+        return np.sort(basic[basic >= 0]), np.flatnonzero(tight)
+
     def _linprog(self):
         res = linprog(
             self._c,
@@ -270,6 +290,33 @@ def suggest_eta(n: int, k: int, value_gap: float) -> float:
     return k * math.log(n) / value_gap
 
 
+class _OptimalBasis:
+    """An optimal basis of a full transport LP, kept to answer other marginals.
+
+    Only the right-hand side b (the marginals) changes between queries, so
+    the basis stays dual feasible.  It is optimal again at b whenever
+    x_B = A[N, B]^-1 b[N] is primal feasible: x_B >= 0 and A[:, B] x_B = b,
+    both to HiGHS's primal tolerance.  B is the basic columns, N the rows
+    whose slack is not basic.  The optimal value is then c_B . x_B: the
+    transport value is piecewise linear in b, one piece per optimal basis
+    (Bertsimas and Tsitsiklis, Introduction to Linear Optimization, 5.2).
+    """
+
+    __slots__ = ("block", "rows", "inverse", "cost")
+
+    def __init__(self, block, rows, cost):
+        self.block, self.rows, self.cost = block, rows, cost  # A[:, B], N, c_B
+        self.inverse = np.linalg.inv(block[rows])
+
+    def value(self, b):
+        """c_B . x_B at the flat marginals b, or None where the basis is not feasible."""
+        x = self.inverse @ b[self.rows]
+        tol = _LP_OPTIONS["primal_feasibility_tolerance"]
+        if x.min() >= -tol and np.abs(self.block @ x - b).max() <= tol:  # false on a nan
+            return float(self.cost @ x)
+        return None
+
+
 class TransportLP:
     """The exact transport LP of one cost with a fixed set of constrained modes.
 
@@ -281,14 +328,18 @@ class TransportLP:
     lie on the simplex.
 
     The LP is a master on the tuples it holds, which every query keeps.  Each
-    run starts from the basis the last one left (``HighsLP.solve``), and
-    ``value`` differs from ``solve`` only in returning the optimal value
-    alone, without building the coupling.  Below ``_CG_MIN_COLUMNS`` columns
-    (n^k) the constructor adds every tuple, so the master is the full LP and
-    a new instance's first query is a cold run: one-shot ``solve_lp`` returns
-    what ``linprog`` would, bit for bit.  Later queries agree on the value up
-    to roundoff; their coupling and duals are an optimal pair that can
-    depend on earlier queries.
+    run starts from the basis the last one left (``HighsLP.solve``).  Below
+    ``_CG_MIN_COLUMNS`` columns (n^k) the constructor adds every tuple, so
+    the master is the full LP and a new instance's first query is a cold
+    run: one-shot ``solve_lp`` returns what ``linprog`` would, bit for bit.
+    Later queries agree on the value up to roundoff; their coupling and duals
+    are an optimal pair that can depend on earlier queries.
+
+    ``value`` returns the optimal value alone.  On the full LP with the
+    private bindings it first tries the ``_BASIS_CACHE_SIZE`` optimal bases
+    its latest HiGHS runs ended at, most recently used first, and answers
+    from the first one that is optimal at the query (``_OptimalBasis``),
+    without a run; such a value agrees with HiGHS's up to roundoff.
 
     From ``_CG_MIN_COLUMNS`` columns on, the master starts empty and column
     generation grows it.  A query adds the multimarginal north-west-corner
@@ -299,7 +350,8 @@ class TransportLP:
     -``_DUAL_TOL``.  The potentials are then feasible for the full LP, a
     certificate that is checked over every tuple before the answer is
     returned: the value is the full LP's up to roundoff, but the basic
-    solution may be another optimal one.
+    solution may be another optimal one.  A master basis need not be optimal
+    for the full LP, so ``value`` keeps no bases here.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -317,8 +369,11 @@ class TransportLP:
         self._cols = np.zeros(0, dtype=np.int64)  # self._cols[c]: flat index of master column c
         self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
         self._lock = threading.Lock()
+        self._bases = None  # optimal bases for value, most recently used first
         if self._cost.size < _CG_MIN_COLUMNS:
             self._add(np.arange(self._cost.size))
+            if _core is not None:
+                self._bases = []
 
     def _columns(self, tuples):
         """Constraint columns of the (c, k) index tuples as CSC (data, indices,
@@ -336,14 +391,17 @@ class TransportLP:
             raise ValueError(f"dimension mismatch: marginals of shape {mu.shape}, this LP was built for {want}")
         return mu
 
+    def _tuples(self, flat) -> np.ndarray:
+        """The (c, k) index tuples of the flat indices ``flat``."""
+        return np.stack(np.unravel_index(flat, self._cost.shape), axis=1)
+
     def _add(self, flat) -> None:
         """Add to the master the tuples of the distinct flat indices ``flat``, none of them held."""
         if flat.size == 0:
             return
         self._held[flat] = True
         self._cols = np.concatenate([self._cols, flat])
-        tuples = np.stack(np.unravel_index(flat, self._cost.shape), axis=1)
-        self._lp.add_cols(self._cost.ravel()[flat], np.zeros(flat.size), *self._columns(tuples))
+        self._lp.add_cols(self._cost.ravel()[flat], np.zeros(flat.size), *self._columns(self._tuples(flat)))
 
     def _nw_corner(self, mu) -> np.ndarray:
         """Flat indices of the multimarginal north-west-corner tuples of
@@ -362,64 +420,92 @@ class TransportLP:
         np.minimum(tuples, self.n - 1, out=tuples)  # a row summing to just under 1
         return np.unique(np.ravel_multi_index(tuple(tuples.T), self._cost.shape))
 
+    def _potentials(self, y) -> np.ndarray:
+        """The equality-row duals ``y`` as a read-only (k, n) array, free modes getting zero rows."""
+        p = np.zeros((self.k, self.n))
+        p[self._rows] = y.reshape(-1, self.n)
+        p.setflags(write=False)
+        return p
+
     def _run(self, mu):
-        """Answer the checked marginals ``mu``: run the master, then price by
-        column generation while some tuple is not held.  Returns x, the
-        objective value, the potentials, the iterations summed over all
-        runs, and the flat tuple index of each column of x.  The potentials
-        are each run's row duals as a read-only (k, n) array, free modes
-        getting zero rows."""
-        with self._lock:
-            self._lp.set_rhs(mu.ravel())
-            if self._cols.size < self._cost.size:
-                corner = self._nw_corner(mu)
-                self._add(corner[~self._held[corner]])
-            rounds, nit, width = 0, 0, self.n * self.k
-            while True:
-                x, fun, y, it = self._lp.solve()
-                rounds, nit = rounds + 1, nit + it
-                p = np.zeros((self.k, self.n))
-                p[self._rows] = y.reshape(-1, self.n)
-                if self._cols.size == self._cost.size:
-                    break
-                red = self._cost - along(p[0], 0, self.k)  # a zero row subtracts exactly
-                for i in range(1, self.k):
-                    red -= along(p[i], i, self.k)
-                red = red.ravel()
-                new = np.flatnonzero(red < -_DUAL_TOL)
-                new = new[~self._held[new]]
-                if new.size == 0:
-                    worst = float(red.min())
-                    if worst < -_DUAL_TOL:
-                        raise RuntimeError(
-                            f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} "
-                            f"below -{_DUAL_TOL:g}"
-                        )
-                    _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
-                               self._lp.what, rounds, self._cols.size, nit)
-                    break
-                if new.size > width:
-                    new = np.sort(new[np.argpartition(red[new], width)[:width]])
-                self._add(new)
-            p.setflags(write=False)
-            return x, fun, p, nit, self._cols
+        """Answer the checked marginals ``mu`` under the lock: run the master,
+        then price by column generation while some tuple is not held.
+        Returns x, the objective value, the last run's equality-row duals, the
+        iterations summed over all runs, and the flat tuple index of each
+        column of x."""
+        self._lp.set_rhs(mu.ravel())
+        if self._cols.size < self._cost.size:
+            corner = self._nw_corner(mu)
+            self._add(corner[~self._held[corner]])
+        rounds, nit, width = 0, 0, self.n * self.k
+        while True:
+            x, fun, y, it = self._lp.solve()
+            rounds, nit = rounds + 1, nit + it
+            if self._cols.size == self._cost.size:
+                break
+            p = self._potentials(y)
+            red = self._cost - along(p[0], 0, self.k)  # a zero row subtracts exactly
+            for i in range(1, self.k):
+                red -= along(p[i], i, self.k)
+            red = red.ravel()
+            new = np.flatnonzero(red < -_DUAL_TOL)
+            new = new[~self._held[new]]
+            if new.size == 0:
+                worst = float(red.min())
+                if worst < -_DUAL_TOL:
+                    raise RuntimeError(
+                        f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} "
+                        f"below -{_DUAL_TOL:g}"
+                    )
+                _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
+                           self._lp.what, rounds, self._cols.size, nit)
+                break
+            if new.size > width:
+                new = np.sort(new[np.argpartition(red[new], width)[:width]])
+            self._add(new)
+        return x, fun, y, nit, self._cols
+
+    def _keep_basis(self) -> None:
+        """Put the last run's optimal basis at the front of the kept ones."""
+        cols, rows = self._lp.basis()
+        flat = self._cols[cols]
+        block = np.zeros((self.n * len(self.constrained), cols.size))
+        _, ones, _ = self._columns(self._tuples(flat))
+        block[ones.reshape(cols.size, -1), np.arange(cols.size)[:, None]] = 1.0
+        self._bases.insert(0, _OptimalBasis(block, rows, self._cost.ravel()[flat]))
+        del self._bases[_BASIS_CACHE_SIZE:]
 
     def value(self, mu) -> float:
-        """Optimal value for the marginals ``mu``."""
-        return float(self._run(self._checked(mu))[1])
+        """Optimal value for the marginals ``mu``, from a kept optimal basis
+        where one is feasible, else from a HiGHS run."""
+        mu = self._checked(mu)
+        with self._lock:
+            if self._bases is None:
+                return float(self._run(mu)[1])
+            b = mu.ravel()
+            for i, basis in enumerate(self._bases):
+                value = basis.value(b)
+                if value is not None:
+                    self._bases.insert(0, self._bases.pop(i))
+                    return value
+            fun = self._run(mu)[1]
+            self._keep_basis()
+            return float(fun)
 
     def solve(self, mu) -> MotSolution:
         """Optimal value, basic coupling and dual potentials for the marginals ``mu``.
 
         Unconstrained modes get zero potentials; the coupling is a basic
-        solution (support at most the constraint-matrix rank).
+        solution (support at most the constraint-matrix rank).  Always a
+        HiGHS run: the kept bases serve ``value`` only.
         """
         mu = self._checked(mu)
-        x, fun, p, nit, cols = self._run(mu)
+        with self._lock:
+            x, fun, y, nit, cols = self._run(mu)
+        p = self._potentials(y)
         support = x > _SUPPORT_EPS
         n, k = self.n, self.k
-        idx = np.stack(np.unravel_index(cols[support], (n,) * k), axis=1)
-        coupling = CouplingTensor.from_support(n, k, idx, x[support])
+        coupling = CouplingTensor.from_support(n, k, self._tuples(cols[support]), x[support])
         return MotSolution(
             value=float(fun),
             coupling=coupling,

@@ -80,9 +80,10 @@ class MotOracle:
         """Exact LP values on fully fixed marginals, corrupted by seeded
         uniform noise of magnitude eps (finite and >= 0).
 
-        Answers carry values only, so each comes from ``TransportLP.value``,
-        warm-started from the oracle's previous query; nothing is shared
-        between oracles.
+        Answers carry values only, so each comes from ``TransportLP.value``:
+        from an optimal basis kept from the oracle's earlier HiGHS runs where
+        one is feasible at the query, else from a run warm-started from the
+        previous one; nothing is shared between oracles.
         """
         if not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -118,11 +119,15 @@ def envelope_value(oracle: MotOracle, p, mu) -> EnvelopePoint:
     k, n, mu = oracle.k, oracle.n, np.asarray(mu, dtype=float)
     if mu.shape != (k, n):
         raise ValueError(f"envelope evaluation needs a ({k}, {n}) array of marginals, got shape {mu.shape}")
-    p = as_weights(p, n, k)
+    return _envelope_value(oracle, as_weights(p, n, k), mu)
+
+
+def _envelope_value(oracle: MotOracle, p: np.ndarray, mu: np.ndarray) -> EnvelopePoint:
+    """``envelope_value`` on a checked (k, n) weight array and float marginals."""
     ans = oracle.query(mu)
     # Per-mode dots accumulated exactly like the per-tuple objective, so the
     # vertex identity F(point mass at j) = f(j) holds bitwise.
-    dots = np.array([p[i] @ mu[i] for i in range(k)])
+    dots = np.array([p[i] @ mu[i] for i in range(oracle.k)])
     value = float(ans.value - dots.sum())
     sub = ans.duals - p if ans.duals is not None else None
     return EnvelopePoint(mu=mu, value=value, subgradient=sub, coupling=ans.coupling)
@@ -236,7 +241,7 @@ def minimize_envelope_exact(
     it = 0
     while it < max_iters:
         it += 1
-        point = envelope_value(oracle, p, mu)
+        point = _envelope_value(oracle, p, mu)
         if point.subgradient is None:
             raise ValueError("an exact oracle must supply dual potentials")
         if point.value < best_val:
@@ -348,7 +353,7 @@ def min_via_mot_approx(
     def score(mu_mat: np.ndarray) -> float:
         nonlocal used
         used += 1
-        return envelope_value(oracle, p, mu_mat).value
+        return _envelope_value(oracle, p, mu_mat).value
 
     def vertex_mu(jvec) -> np.ndarray:
         return np.eye(n)[list(jvec)]

@@ -1,6 +1,8 @@
 import itertools
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -361,6 +363,7 @@ def test_value_without_private_bindings_is_the_linprog_value(monkeypatch):
     rng = np.random.default_rng(36)
     for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=8):
         lp = TransportLP(C, range(C.k))
+        assert lp._bases is None  # no bases kept: every value is a linprog run
         for spec in specs:
             assert lp.value(_rows(spec)) == solve_lp(C, spec).value, family
     assert len(linprog_calls) == 2 * 10 * 8
@@ -388,12 +391,15 @@ def test_value_reruns_cold_after_a_non_optimal_warm_run():
     specs = [MarginalSpec.fully_fixed(random_marginals(rng, 3, 3)) for _ in range(2)]
     lp = TransportLP(C, range(3))
     lp.value(_rows(specs[0]))
+    # with no optimal basis kept, every value query is a HiGHS run
+    lp._bases.clear()
     model = lp._lp._highs = _NotOptimalAtFirst(lp._lp._highs, bad=1)
     assert lp.value(_rows(specs[1])) == solve_lp(C, specs[1]).value
     runs = [i for i, name in enumerate(model.calls) if name == "run"]
     assert len(runs) == 2 and model.calls.count("clearSolver") == 1
     assert model.calls[runs[0] + 1 : runs[1]] == ["getModelStatus", "clearSolver"]
 
+    lp._bases.clear()
     lp._lp._highs = _NotOptimalAtFirst(model._highs, bad=2)
     with pytest.raises(RuntimeError, match="transport LP failed: HiGHS model status"):
         lp.value(_rows(specs[0]))
@@ -413,6 +419,127 @@ def test_value_failure_names_the_lp(monkeypatch, private_bindings):
     with pytest.raises(RuntimeError, match="test LP failed: (HiGHS model|linprog) status"):
         lp.solve()
     assert calls.count("run") == (2 if private_bindings else 0)
+
+
+def _kept_basis_streams(rng, queries=100):
+    """One cost per family at n, k <= 3, plus dense 4^3 and pairwise 3^4,
+    each with a stream of ``queries`` fully fixed (k, n) marginals: Dirichlet
+    interiors, vertices, sparse Dirichlet draws with zero entries, and
+    repeats of earlier marginals of the stream."""
+    cells = [(family, 2 if family in ("set_function", "two_sat") else int(rng.integers(2, 4)),
+              int(rng.integers(2, 4))) for family in ALL_FAMILIES]
+    for family, n, k in cells + [("dense", 4, 3), ("pairwise", 3, 4)]:
+        stream = []
+        for q in range(queries):
+            if q % 4 == 0:
+                mu = np.stack(random_marginals(rng, n, k))
+            elif q % 4 == 1:
+                mu = np.eye(n)[rng.integers(0, n, k)]
+            elif q % 4 == 2:
+                mu = np.zeros((k, n))
+                for row in mu:
+                    keep = rng.random(n) < 0.5
+                    keep[rng.integers(n)] = True
+                    row[keep] = rng.dirichlet(np.full(keep.sum(), 0.3))
+            else:
+                mu = stream[rng.integers(len(stream))]
+            stream.append(mu)
+        yield family, random_cost(rng, family, n, k), stream
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_kept_bases_match_cold_solves(monkeypatch):
+    rng = np.random.default_rng(40)
+    corpus = [(family, C, stream, [solve_lp(C, MarginalSpec.fully_fixed(list(mu))).value for mu in stream])
+              for family, C, stream in _kept_basis_streams(rng)]
+    runs = _count_calls(monkeypatch, motsolve.HighsLP, "solve")
+    count = 0
+    for family, C, stream, cold in corpus:
+        lp = TransportLP(C, range(C.k))
+        for mu, want in zip(stream, cold):
+            got = lp.value(mu)
+            assert _close_to_cold(got, want), (family, mu, got, want)
+            count += 1
+        assert len(lp._bases) <= motsolve._BASIS_CACHE_SIZE
+    # most answers come from a kept basis, not from a HiGHS run
+    assert count == 1200 and len(runs) < count / 2
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_value_falls_through_to_highs_where_no_kept_basis_is_feasible(monkeypatch):
+    rng = np.random.default_rng(41)
+    C = random_cost(rng, "dense", 3, 3)
+    lp = TransportLP(C, range(3))
+    first = np.stack(random_marginals(rng, 3, 3))
+    lp.value(first)
+    kept = lp._bases[0]
+    for _ in range(100):
+        mu = np.stack(random_marginals(rng, 3, 3))
+        if kept.value(mu.ravel()) is None:
+            break
+    assert kept.value(mu.ravel()) is None
+    cold = [solve_lp(C, MarginalSpec.fully_fixed(list(point))).value for point in (mu, first)]
+    runs = _count_calls(monkeypatch, motsolve.HighsLP, "solve")
+    value = lp.value(mu)
+    assert len(runs) == 1 and _close_to_cold(value, cold[0])
+    # the new run's basis went to the front and answers mu itself
+    new = lp._bases[0]
+    assert lp._bases == [new, kept] and _close_to_cold(new.value(mu.ravel()), value)
+    # only the older basis answers the first point: a hit, with no run, that
+    # moves it back to the front
+    assert new.value(first.ravel()) is None
+    assert _close_to_cold(lp.value(first), cold[1])
+    assert len(runs) == 1 and lp._bases == [kept, new]
+
+
+def test_column_generation_keeps_no_bases(monkeypatch):
+    rng = np.random.default_rng(42)
+    C = random_cost(rng, "pairwise", 2, 9)
+    stream = [np.stack(random_marginals(rng, 2, 9)) for _ in range(6)]
+    stream += [np.eye(2)[rng.integers(0, 2, 9)], stream[0]]
+    cold = [solve_lp(C, MarginalSpec.fully_fixed(list(mu))).value for mu in stream]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a column-generation LP consulted the basis cache")
+
+    monkeypatch.setattr(motsolve._OptimalBasis, "value", forbidden)
+    monkeypatch.setattr(motsolve.HighsLP, "basis", forbidden)
+    lp = TransportLP(C, range(9))
+    assert lp._bases is None
+    for mu, want in zip(stream, cold):
+        assert _close_to_cold(lp.value(mu), want)
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_noisy_oracle_shared_across_threads_matches_cold_solves():
+    rng = np.random.default_rng(43)
+    C = random_cost(rng, "pairwise", 3, 3)
+    stream = [np.stack(random_marginals(rng, 3, 3)) for _ in range(60)]
+    stream += [np.eye(3)[rng.integers(0, 3, 3)] for _ in range(20)]
+    cold = [solve_lp(C, MarginalSpec.fully_fixed(list(mu))).value for mu in stream]
+    oracle = reduction.MotOracle.noisy_lp(C, eps=0.0, seed=0)
+    answers = [[None] * len(stream) for _ in range(4)]
+
+    def worker(slot):
+        order = range(len(stream)) if slot % 2 == 0 else reversed(range(len(stream)))
+        for i in order:
+            answers[slot][i] = oracle.query(stream[i]).value
+
+    # four threads race to try and reorder the one LP's kept bases
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for slot in answers:
+        assert all(_close_to_cold(got, want) for got, want in zip(slot, cold))
+    assert oracle.queries == 4 * len(stream)
 
 
 def _certified(C, spec, sol):

@@ -312,8 +312,11 @@ def test_noisy_reduction_makes_no_hidden_work(monkeypatch):
         res = min_via_mot_approx(oracle, rng.normal(size=(3, C.n)), eps=0.01, budget=120, seed=3)
         assert res.queries == oracle.queries > 100, family
         assert len(materialized) == 1 and len(models) == 1, family
-        # one warm run per query: the solver is never cleared
-        assert models[0].count("run") == oracle.queries, family
+        # one warm run, and one read of its basis, per query no kept basis
+        # answers; most queries are answered from one, and the solver is
+        # never cleared
+        runs = models[0].count("run")
+        assert runs == models[0].count("getBasicVariables") < oracle.queries / 2, family
         assert "clearSolver" not in models[0], family
 
 
