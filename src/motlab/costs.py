@@ -24,6 +24,9 @@ _DET_FLOOR = 1e-300
 
 SET_FUNCTION_TABLE_CAP = 16
 
+# Slack allowed in the double-increment inequalities of is_submodular and is_supermodular.
+_MODULARITY_TOL = 1e-9
+
 
 class CostOracle:
     """Base interface: dimensions, family tag, entry evaluation, certified bound."""
@@ -118,10 +121,6 @@ class LowRankCost(CostOracle):
                 vecs.append(u)
             frozen_terms.append(tuple(vecs))
         object.__setattr__(self, "terms", tuple(frozen_terms))
-
-    @property
-    def rank(self) -> int:
-        return len(self.terms)
 
     def evaluate_batch(self, J):
         J = np.asarray(J, dtype=np.int64)
@@ -512,10 +511,10 @@ def _increment_inequalities(C: SetFunctionCost) -> np.ndarray:
     return np.concatenate(diffs)
 
 
-def is_submodular(C: SetFunctionCost, tol: float = 1e-9) -> bool:
-    """Enumerated submodularity check via double-increment inequalities."""
-    return bool(_increment_inequalities(C).min() >= -tol)
+def is_submodular(C: SetFunctionCost) -> bool:
+    """Enumerated submodularity check via double-increment inequalities, up to ``_MODULARITY_TOL``."""
+    return bool(_increment_inequalities(C).min() >= -_MODULARITY_TOL)
 
 
-def is_supermodular(C: SetFunctionCost, tol: float = 1e-9) -> bool:
-    return bool(_increment_inequalities(C).max() <= tol)
+def is_supermodular(C: SetFunctionCost) -> bool:
+    return bool(_increment_inequalities(C).max() <= _MODULARITY_TOL)

@@ -33,7 +33,7 @@ from .formats import instance_digest
 from .graphs import CnfFormula, KPartiteGraph, UndirectedGraph
 from .minsolve import min_bruteforce, twosat_min_zero
 from .motsolve import TransportLP, bernoulli_spec, solve_lp, solve_submodular
-from .reduction import MotOracle, min_via_mot_approx, min_via_mot_exact
+from .reduction import MotOracle, lipschitz_bound, min_via_mot_approx, min_via_mot_exact
 
 # The verifiers' own n^k limit, below $MOTLAB_DENSE_CAP's 10^7: check_cap guards
 # vectorized arrays, while the independent oracles here loop over itertools
@@ -372,7 +372,7 @@ def lipschitz_experiment(C: CostOracle, trials: int = 100, seed: int = 0) -> dic
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    bound = 2.0 * C.upper_bound()
+    bound = lipschitz_bound(C)
     lp = TransportLP(C, range(C.k))
     worst = 0.0
     for _ in range(trials):

@@ -324,8 +324,8 @@ class TransportLP:
     constrained mode; only the right-hand side (the marginals) changes
     between queries.  The cost is materialized once, and one ``HighsLP``
     serves every query.  A query's marginals are an (m, n) array, row r for
-    mode ``constrained[r]``; only its shape is checked, and every row must
-    lie on the simplex.
+    mode ``constrained[r]``, and every row must lie on the simplex; only its
+    shape is checked, and a non-finite entry raises ValueError.
 
     The LP is a master on the tuples it holds, which every query keeps.  Each
     run starts from the basis the last one left (``HighsLP.solve``).  Below
@@ -432,7 +432,11 @@ class TransportLP:
         then price by column generation while some tuple is not held.
         Returns x, the objective value, the last run's equality-row duals, the
         iterations summed over all runs, and the flat tuple index of each
-        column of x."""
+        column of x.  A non-finite entry of ``mu`` raises ValueError first (no
+        kept basis is feasible at one)."""
+        if not np.isfinite(mu).all():
+            r, j = np.argwhere(~np.isfinite(mu))[0]
+            raise ValueError(f"marginal for mode {self.constrained[r]} has non-finite entry {mu[r, j]} at {j}")
         self._lp.set_rhs(mu.ravel())
         if self._cols.size < self._cost.size:
             corner = self._nw_corner(mu)

@@ -111,10 +111,10 @@ class EnvelopePoint:
 def envelope_value(oracle: MotOracle, p, mu) -> EnvelopePoint:
     """F(mu) = -sum_i <p_i, mu_i> + oracle value, with subgradient and coupling when available.
 
-    ``mu`` is a (k, n) array whose rows must lie on the simplex; only its shape
-    is checked.  The transport value is the maximum of linear functions
-    <., mu> over dual feasible potentials, so optimal potentials minus p form
-    a subgradient of F.
+    ``mu`` is a (k, n) array whose rows must lie on the simplex; only its
+    shape is checked here, and the LP oracles reject a non-finite entry.  The
+    transport value is the maximum of linear functions <., mu> over dual
+    feasible potentials, so optimal potentials minus p form a subgradient of F.
     """
     k, n, mu = oracle.k, oracle.n, np.asarray(mu, dtype=float)
     if mu.shape != (k, n):
@@ -322,6 +322,10 @@ class ApproxMinResult:
     budget_exhausted: bool = False
 
 
+class _BudgetSpent(Exception):
+    """Raised by the first probe of ``min_via_mot_approx`` past its budget."""
+
+
 def min_via_mot_approx(
     oracle: MotOracle,
     p=None,
@@ -338,8 +342,8 @@ def min_via_mot_approx(
     re-queried, and the smallest value seen anywhere is returned.  Every
     reported value is a noisy evaluation of the envelope, so it can undershoot
     the true minimum by at most the oracle accuracy.  At most ``budget``
-    (>= 1) queries are made: annealing, snapping and polishing each stop once
-    it is spent, and the result is then flagged ``budget_exhausted``.
+    (>= 1) queries are made: the search ends at the first query it wants past
+    the budget, and the result is then flagged ``budget_exhausted``.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -349,116 +353,103 @@ def min_via_mot_approx(
     eps_eff = oracle.accuracy if eps is None else float(eps)
     scale = max(oracle.c_max, eps_eff, 1e-9)
     used = 0
+    vertex_val, vertex_witness = math.inf, None
 
-    def score(mu_mat: np.ndarray) -> float:
+    def probe(mu_mat: np.ndarray) -> float:
         nonlocal used
+        if used >= budget:
+            raise _BudgetSpent
         used += 1
         return _envelope_value(oracle, p, mu_mat).value
 
-    def vertex_mu(jvec) -> np.ndarray:
-        return np.eye(n)[list(jvec)]
+    def vertex(jvec) -> float:
+        """Probe the point mass at ``jvec``, the witness if its value is the smallest vertex value yet."""
+        nonlocal vertex_val, vertex_witness
+        val = probe(np.eye(n)[list(jvec)])
+        if val < vertex_val:
+            vertex_val, vertex_witness = val, tuple(jvec)
+        return val
+
+    def moves(modes: tuple[int, ...], cur: list[int]):
+        """Copies of ``cur`` changed on every one of ``modes``, in lexicographic
+        order; each mode skips the value ``cur`` holds there when its loop
+        reaches it, and ``cur`` may move between the copies yielded."""
+        i, rest = modes[0], modes[1:]
+        for a in range(n):
+            if a != cur[i]:
+                for cand in moves(rest, cur) if rest else [list(cur)]:
+                    cand[i] = a
+                    yield cand
+
+    # Pattern-search polish on the vertex lattice: a sweep tries every move
+    # of each group of modes, keeping each one that improves.
+    def sweep(cur: list[int], cur_val: float, groups) -> tuple[float, bool]:
+        improved = False
+        for group in groups:
+            for cand in moves(group, cur):
+                val = vertex(cand)
+                if val < cur_val:
+                    cur[:], cur_val, improved = cand, val, True
+        return cur_val, improved
 
     polish_probes = 3 * (k * (n - 1) + (k * (k - 1) // 2) * (n - 1) ** 2)
     reserve = _RESTARTS * (_SAMPLES_PER_RESTART + 1) + polish_probes
     iters = max(10, (budget - reserve) // _RESTARTS - 1)
     t_hi, t_lo = 0.5 * scale, max(eps_eff, 1e-3 * scale)
     r_hi, r_lo = 0.8, 0.08
+    singles = [(i,) for i in range(k)]
+    pairs = [(i, i2) for i in range(k) for i2 in range(i + 1, k)]
 
     best_val = math.inf
     best_mu = np.full((k, n), 1.0 / n)
-    vertex_val = math.inf
-    vertex_witness = None
     snapped: dict[tuple, float] = {}
     exhausted = False
+    try:
+        for restart in range(_RESTARTS):
+            if restart == 0:
+                mu = np.full((k, n), 1.0 / n)
+            else:
+                mu = rng.dirichlet(np.ones(n), size=k)
+            cur = probe(mu)
+            local_val, local_mu = cur, mu
+            if cur < best_val:
+                best_val, best_mu = cur, mu
+            for t in range(iters):
+                frac = t / max(iters - 1, 1)
+                temp = t_hi * (t_lo / t_hi) ** frac
+                rad = r_hi * (r_lo / r_hi) ** frac
+                step = rad * (mu + 0.5 / n) * rng.standard_normal((k, n))
+                prop = project_rows_to_simplex(mu + step)
+                val = probe(prop)
+                if val < local_val:
+                    local_val, local_mu = val, prop
+                if val < best_val:
+                    best_val, best_mu = val, prop
+                if val <= cur or rng.random() < math.exp(-(val - cur) / temp):
+                    mu, cur = prop, val
 
-    def spent() -> bool:
-        nonlocal exhausted
-        exhausted = used >= budget
-        return exhausted
+            candidates = {tuple(int(j) for j in np.argmax(local_mu, axis=1))}
+            for _ in range(_SAMPLES_PER_RESTART - 1):
+                candidates.add(
+                    tuple(int(rng.choice(n, p=row)) for row in local_mu)
+                )
+            for jvec in sorted(candidates):
+                snapped[jvec] = min(snapped.get(jvec, math.inf), vertex(jvec))
 
-    for restart in range(_RESTARTS):
-        if spent():
-            break
-        if restart == 0:
-            mu = np.full((k, n), 1.0 / n)
-        else:
-            mu = rng.dirichlet(np.ones(n), size=k)
-        cur = score(mu)
-        local_val, local_mu = cur, mu
-        if cur < best_val:
-            best_val, best_mu = cur, mu
-        for t in range(iters):
-            if spent():
-                break
-            frac = t / max(iters - 1, 1)
-            temp = t_hi * (t_lo / t_hi) ** frac
-            rad = r_hi * (r_lo / r_hi) ** frac
-            step = rad * (mu + 0.5 / n) * rng.standard_normal((k, n))
-            prop = project_rows_to_simplex(mu + step)
-            val = score(prop)
-            if val < local_val:
-                local_val, local_mu = val, prop
-            if val < best_val:
-                best_val, best_mu = val, prop
-            if val <= cur or rng.random() < math.exp(-(val - cur) / temp):
-                mu, cur = prop, val
-
-        candidates = {tuple(int(j) for j in np.argmax(local_mu, axis=1))}
-        for _ in range(_SAMPLES_PER_RESTART - 1):
-            candidates.add(
-                tuple(int(rng.choice(n, p=row)) for row in local_mu)
-            )
-        for jvec in sorted(candidates):
-            if spent():
-                break
-            val = score(vertex_mu(jvec))
-            if val < snapped.get(jvec, math.inf):
-                snapped[jvec] = val
-            if val < vertex_val:
-                vertex_val, vertex_witness = val, jvec
-
-    # Pattern-search polish on the vertex lattice from the best few snapped
-    # tuples: sweep single-mode swaps until stable, then try two-mode swaps to
-    # escape single-swap local minima.  With an exact oracle each probe is an
-    # exact objective value, so this finishes the job whenever annealing found
-    # a competitive basin.
-    def _sweep(cur, cur_val, pairs: bool):
-        improved = False
-        moves = (
-            [(i, i2) for i in range(k) for i2 in range(i + 1, k)] if pairs
-            else [(i, None) for i in range(k)]
-        )
-        for i, i2 in moves:
-            for a in range(n):
-                if a == cur[i]:
-                    continue
-                for b in range(n) if pairs else (None,):
-                    if pairs and b == cur[i2]:
-                        continue
-                    if spent():
-                        return cur, cur_val, improved
-                    cand = list(cur)
-                    cand[i] = a
-                    if pairs:
-                        cand[i2] = b
-                    val = score(vertex_mu(tuple(cand)))
-                    if val < cur_val:
-                        cur, cur_val, improved = cand, val, True
-        return cur, cur_val, improved
-
-    for start in sorted(snapped, key=snapped.get)[:3]:
-        cur, cur_val = list(start), snapped[start]
-        for _ in range(k + 2):
-            cur, cur_val, moved = _sweep(cur, cur_val, pairs=False)
-            if moved:
-                continue
-            cur, cur_val, moved = _sweep(cur, cur_val, pairs=True)
-            if not moved:
-                break
-        if cur_val < vertex_val:
-            vertex_val, vertex_witness = cur_val, tuple(cur)
-        if exhausted:
-            break
+        # From the best few snapped tuples, sweep single-mode moves until
+        # stable, then two-mode moves to escape single-move local minima.
+        # With an exact oracle each probe is an exact objective value, so this
+        # finishes the job whenever annealing found a competitive basin.
+        for start in sorted(snapped, key=snapped.get)[:3]:
+            cur, cur_val = list(start), snapped[start]
+            for _ in range(k + 2):
+                cur_val, moved = sweep(cur, cur_val, singles)
+                if not moved:
+                    cur_val, moved = sweep(cur, cur_val, pairs)
+                if not moved:
+                    break
+    except _BudgetSpent:
+        exhausted = True
 
     return ApproxMinResult(
         value=float(min(best_val, vertex_val)),

@@ -350,6 +350,36 @@ def test_transport_lp_rejects_a_wrongly_shaped_point(shape):
         lp.solve(np.full(shape, 1.0 / 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("query", ["warm value", "warm solve", "fresh value", "fresh solve",
+                                   "column generation value", "column generation solve", "envelope_value"])
+def test_transport_lp_rejects_a_non_finite_entry_before_any_run(query, bad, monkeypatch):
+    # a warm nan query used to return the value at the previous marginals,
+    # the others a RuntimeError from HiGHS
+    n, k = (4, 5) if query.startswith("column generation") else (3, 3)
+    C = random_cost(np.random.default_rng(1), "dense", n, k)
+    lp = TransportLP(C, range(k))
+    assert (n**k >= motsolve._CG_MIN_COLUMNS) == query.startswith("column generation")
+    point = np.full((k, n), 1.0 / n)
+    if query.startswith("warm"):
+        lp.value(point)
+        lp.solve(point)
+        assert lp._bases or motsolve._core is None
+    point[1, 2] = bad
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a non-finite marginal reached HiGHS")
+
+    monkeypatch.setattr(motsolve.HighsLP, "solve", forbidden)
+    with pytest.raises(ValueError, match=f"mode 1 has non-finite entry {bad} at 2"):
+        if query == "envelope_value":
+            reduction.envelope_value(reduction.MotOracle.exact_lp(C), None, point)
+        elif query.endswith("value"):
+            lp.value(point)
+        else:
+            lp.solve(point)
+
+
 @pytest.mark.parametrize("constrained", [(0, 0), (1, 2, 1), (1.5,), (0, np.float64(1.0)), (True,), (0, True)])
 def test_transport_lp_rejects_duplicate_and_non_integer_modes(constrained):
     C = random_cost(np.random.default_rng(1), "dense", 3, 3)

@@ -337,6 +337,35 @@ def test_approx_reduction_rejects_budget_below_one():
     assert oracle.queries == 0
 
 
+@pytest.mark.parametrize("budget", [1, 7, 60, 400])
+@pytest.mark.parametrize("kind", ["exact", "noisy"])
+def test_approx_reduction_reports_what_it_queried(kind, budget):
+    C = random_cost(np.random.default_rng(54), "dense", 3, 3)
+    p = np.random.default_rng(55).normal(size=(3, 3))
+    inner = MotOracle.exact_lp(C) if kind == "exact" else MotOracle.noisy_lp(C, eps=0.05, seed=56)
+    asked = []
+
+    def fn(mu):
+        ans = inner.query(mu)
+        asked.append((mu.copy(), ans.value))
+        return ans
+
+    oracle = MotOracle(fn, C.n, C.k, inner.accuracy, inner.c_max)
+    res = min_via_mot_approx(oracle, p, budget=budget, seed=57)
+
+    def envelope(mu, value):  # F at mu from a recorded answer, through envelope_value itself
+        return envelope_value(MotOracle(lambda _: OracleAnswer(value=value), C.n, C.k, 0.0, 0.0), p, mu).value
+
+    values = [envelope(mu, v) for mu, v in asked]
+    assert res.queries == len(asked) <= budget
+    assert res.budget_exhausted == (budget < 400)  # 400 queries finish the search on a 3^3 cost
+    assert res.queries == budget or not res.budget_exhausted
+    assert res.value == min(values)
+    assert any(np.array_equal(res.best_mu, mu) for mu, _ in asked)
+    vertices = {tuple(np.argmax(mu, axis=1)) for mu, _ in asked if np.isin(mu, (0.0, 1.0)).all()}
+    assert res.witness_hint in vertices or (res.witness_hint is None and res.budget_exhausted)
+
+
 def test_oracle_path_builds_no_marginal_spec(monkeypatch):
     def forbidden(self):
         raise AssertionError("a MarginalSpec was built on the oracle path")
