@@ -16,18 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from .costs import SET_FUNCTION_TABLE_CAP, CostOracle, SetFunctionCost, is_submodular
 from .minsolve import objective_tensor
 from .tensors import (
     CouplingTensor,
     MarginalSpec,
+    PrefixContractions,
     _equal_fields,
     along,
     checked_modes,
     others,
-    scaled_mode_sum,
+    scale_modes,
 )
 
 _log = logging.getLogger("motlab")
@@ -57,25 +58,52 @@ _CG_MIN_COLUMNS = 512
 # miss tries more bases than the extra hits save.
 _BASIS_CACHE_SIZE = 8
 
-# Sinkhorn uses a mode's contraction c = scaled_mode_sum(K, u, i) as it is
-# only while every live entry is at least this times R, the largest product
-# of the other modes' scalings, prod_{m != i} max(1, max u_m).  An entry of
-# K = exp(log_K) landing below the smallest normal double, 2^-1022, is off by
-# at most 2^-1074, and so is a gemv product landing there; either error is
-# then multiplied by at most R.  K holds fewer than 2^51 entries and a
-# contraction rounds fewer than three times per entry, so underflow costs c
-# less than 2^-1021 R: under half an ulp of any entry >= 2^-968 R.
+# Sinkhorn uses a mode's contraction c_i (``tensors.PrefixContractions``: the
+# prefixes T_1..T_i of K, then ``scaled_mode_sum`` of T_i) as it is only
+# while every live entry is at least this times R, the largest product of the
+# other modes' scalings, prod_{m != i} max(1, max u_m).  Only an exp or a
+# product landing below the smallest normal double, 2^-1022, can be off by
+# more than a relative rounding: by at most 2^-1074 (a sum landing there is
+# exact), an error then multiplied by at most R on its way into c_i.  Per
+# entry of K, c_i takes one exp; the prefixes' products, n^k + n^(k-1) + ...
+# + n^(k-i+1); and those of scaled_mode_sum, n^(k-i) in its first gemv and
+# under a 63rd of that in the rest (each reads an array at least
+# _GEMV_MIN_LENGTH = 64 times smaller).  That is under
+# 1 + n/(n-1) + 1/63 <= 3 + 1/63 per entry at n >= 2 (at most k + 1 in all at
+# n = 1).  K holds fewer than 2^51 entries, so underflow costs c_i less than
+# 4 * 2^51 * 2^-1074 R = 2^-1021 R: under half an ulp of any entry >= 2^-968 R.
 _SLICE_SUM_FLOOR = 2.0**-968
 
 # Sinkhorn keeps every live scaling entry within [2^-r, 2^r],
 # r = _SCALING_LOG2_RANGE // k, and absorbs the scalings into the kernel when
 # one leaves.  A product of at most k scalings then lies in [2^-960, 2^960]:
 # the Kronecker vectors of a contraction are normal doubles, so only the
-# products with K can underflow (the floor above bounds that), and a
-# contraction, fewer than 2^51 entries of K <= 1 times such a product, stays
-# under 2^1011.  K <= 1 holds because the largest entry of log_K starts at 0
-# and an absorption follows a mode update, which leaves total mass 1.
+# products with K and its prefixes can underflow (the floor above bounds
+# that), and an entry of a prefix or a contraction, a sum of fewer than 2^51
+# entries of K <= 1 times such a product, stays under 2^1011.  K <= 1 holds
+# because the largest entry of log_K starts at 0 and an absorption follows a
+# mode update, which leaves total mass 1.
 _SCALING_LOG2_RANGE = 960
+
+
+def _gap_rounding(n: int, k: int, modes: int) -> float:
+    """g such that a computed Sinkhorn marginal gap sum_i ||u_i c_i - mu_i||_1
+    over ``modes`` constrained modes is within g * sum_i (||u_i c_i||_1 + 1)
+    of the exact gap of the iterate (||mu_i||_1 = 1).
+
+    An entry of c_i sums N = n^(k-1) nonnegative terms of at most k - 1
+    rounded products each, so in any order of summation it is within
+    gamma_{N+k-2} of exact, gamma_M = M 2^-53 / (1 - M 2^-53) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and 4.2).
+    Times u_i and minus mu_i adds two roundings, and summing the n * modes
+    absolute values fewer than n * modes more: M = N + k + n * modes, and
+    gamma_M <= M 2^-52 while M 2^-53 <= 1/2.  Sinkhorn moves its best
+    iterate only to an iterate whose gap is lower by more than both bounds,
+    so which of several iterates tied at rounding level it reports does not
+    depend on the last bit of the arithmetic.
+    """
+    return (n ** (k - 1) + k + n * modes) * 2.0**-52
+
 
 _LP_OPTIONS = {
     "presolve": True,
@@ -545,15 +573,19 @@ def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolut
     that its marginal matches (zero targets keep zero scalings); iteration
     stops once the summed l1 marginal error falls under ``cfg.tol``.  The
     reported value is the entropically regularized objective
-    <P, C> - H(P)/eta of the best iterate, materialized once at the end;
-    callers wanting exact feasibility compose with ``round_to_polytope``.
+    <P, C> - H(P)/eta of the best iterate, materialized once at the end: the
+    converged iterate, or else the one of least error, where a later iterate
+    replaces the best so far only if its error is lower by more than both
+    errors' rounding bounds (``_gap_rounding``).  Callers wanting exact
+    feasibility compose with ``round_to_polytope``.
 
-    K is exponentiated once per solve, and a mode update is one contraction
-    of it.  A mode whose live c_i entries could have lost precision to
-    underflow (``_SLICE_SUM_FLOOR``) takes the max-shifted ``logsumexp`` of
-    log_K + sum_m log u_m instead.  A scaling entry leaving its safe range
-    (``_SCALING_LOG2_RANGE``) is absorbed: every scaling's log is folded into
-    log_K, K is recomputed and the scalings are reset to 1.
+    K is exponentiated once per solve, and the c_i come from one
+    ``PrefixContractions`` of it, so a cycle and its marginal gap read at
+    most two arrays of K's size.  A mode whose live c_i entries could have
+    lost precision to underflow (``_SLICE_SUM_FLOOR``) takes the max-shifted
+    ``logsumexp`` of log_K + sum_m log u_m instead.  A scaling entry leaving
+    its safe range (``_SCALING_LOG2_RANGE``) is absorbed: every scaling's log
+    is folded into log_K, K is recomputed and the scalings are reset to 1.
     """
     if (C.n, C.k) != (spec.n, spec.k):
         raise ValueError("dimension mismatch between cost and marginal spec")
@@ -572,7 +604,8 @@ def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolut
         return out
 
     K = np.exp(log_kernel({}, np.empty_like(cost)))
-    u = [np.ones(n) for _ in range(k)]
+    ones = [np.ones(n)] * k
+    sums = PrefixContractions(K, ones)  # the scalings u and contractions c_i of K
     hi = [1.0] * k  # max(1, max u_m)
     a = {i: np.zeros(n) for i in spec.constrained}  # log-scalings absorbed into K
     r = _SCALING_LOG2_RANGE // k
@@ -584,29 +617,27 @@ def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolut
     def folded(skip):
         """The log-scalings absorbed so far plus those of u, leaving out u_skip."""
         with np.errstate(divide="ignore"):
-            return {m: a[m] if m == skip else a[m] + np.log(u[m]) for m in a}
+            return {m: a[m] if m == skip else a[m] + np.log(sums.scalings[m]) for m in a}
 
-    held = {}  # contractions c_i of the current K and u; c_i does not read u_i
-
-    def contraction(i):
-        if i not in held:
-            held[i] = scaled_mode_sum(K, u, i)
-        return held[i]
+    rounding = _gap_rounding(n, k, len(spec.constrained))
 
     def marginal_gap():
-        return sum(
-            float(np.abs(u[i] * contraction(i) - mu).sum())
-            for i, mu in zip(spec.constrained, spec.marginals)
-        )
+        """The summed l1 marginal error, and a bound on its rounding error."""
+        err = mass = 0.0
+        for i, mu in zip(spec.constrained, spec.marginals):
+            m = sums.scalings[i] * sums.contraction(i)
+            err += float(np.abs(m - mu).sum())
+            mass += float(m.sum()) + 1.0
+        return err, rounding * mass
 
-    best_err = marginal_gap()
-    best = (a, list(u))
+    best_err, best_slack = marginal_gap()
+    best = (a, list(sums.scalings))
     converged = best_err <= cfg.tol
     cycles = absorptions = fallbacks = 0
     while not converged and cycles < cfg.max_iters:
         cycles += 1
         for i, mu in zip(spec.constrained, spec.marginals):
-            c = contraction(i)
+            c = sums.contraction(i)
             log_ui = None  # set when u_i leaves the safe range
             if c[live[i]].min() >= _SLICE_SUM_FLOOR * math.prod(hi[:i] + hi[i + 1:]):
                 ui = np.zeros(n)
@@ -623,37 +654,33 @@ def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolut
                 if math.log(low) <= log_ui[live[i]].min() and log_ui.max() <= math.log(high):
                     ui, log_ui = np.exp(log_ui), None
             if log_ui is None:
-                u[i] = ui
+                sums.set(i, ui)
                 hi[i] = max(1.0, float(ui.max()))
-                held = {i: c}
             else:
                 absorptions += 1
                 a = folded(i)
                 a[i] = a[i] + log_ui
                 np.exp(log_kernel(a, K), out=K)
-                u = [np.ones(n) for _ in range(k)]
+                sums.reset(ones)
                 hi = [1.0] * k
-                held = {}
-        err = marginal_gap()
-        if err < best_err:
-            best, best_err = (a, list(u)), err
+        err, slack = marginal_gap()
+        if err <= cfg.tol or err + slack < best_err - best_slack:
+            best, best_err, best_slack = (a, list(sums.scalings)), err, slack
         if err <= cfg.tol:
             converged = True
 
     best_a, best_u = best
     if best_a is not a:  # the best iterate predates an absorption
         np.exp(log_kernel(best_a, K), out=K)
-    P = K
-    for i in spec.constrained:
-        P *= along(best_u[i], i, k)
-    lin = float((P * cost).sum())
-    pos = P[P > 0]
-    ent = float(-(pos * np.log(pos)).sum())
+    P = scale_modes(K, best_u, out=K)
+    lin = float(P.reshape(-1) @ cost.reshape(-1))
+    coupling = CouplingTensor.from_dense(P)
+    ent = -float(xlogy(P, P, out=P).sum())  # P is spent: coupling holds a copy
     _log.debug("sinkhorn %d^%d: %d cycles, %d absorptions, %d logsumexp fallbacks, marginal error %.3g",
                n, k, cycles, absorptions, fallbacks, best_err)
     return MotSolution(
         value=lin - ent / cfg.eta,
-        coupling=CouplingTensor.from_dense(P),
+        coupling=coupling,
         duals=None,
         backend="sinkhorn",
         converged=converged,

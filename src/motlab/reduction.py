@@ -344,6 +344,7 @@ def min_via_mot_approx(
     the true minimum by at most the oracle accuracy.  At most ``budget``
     (>= 1) queries are made: the search ends at the first query it wants past
     the budget, and the result is then flagged ``budget_exhausted``.
+    ``queries`` counts this call's queries, not the oracle's lifetime count.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -454,7 +455,7 @@ def min_via_mot_approx(
     return ApproxMinResult(
         value=float(min(best_val, vertex_val)),
         witness_hint=vertex_witness,
-        queries=oracle.queries,
+        queries=used,
         best_mu=best_mu,
         budget_exhausted=exhausted,
     )

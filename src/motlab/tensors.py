@@ -249,10 +249,22 @@ _GEMV_MIN_LENGTH = 64
 
 
 def _kron(vecs) -> np.ndarray:
+    if not vecs:
+        return np.ones(1)
     w = vecs[0]
     for v in vecs[1:]:
         w = np.multiply.outer(w, v).ravel()
     return w
+
+
+def scale_modes(arr: np.ndarray, scalings, out=None) -> np.ndarray:
+    """arr ⊙ u_0 ⊗ ... ⊗ u_{k-1} (into ``out`` if given), as one multiply
+    by the Kronecker vector of the scalings.  That vector is the outer
+    product of its two halves' Kronecker vectors, so both its build and the
+    multiply run inner loops of n^(k/2) entries or more."""
+    h = (len(scalings) + 1) // 2
+    w = np.multiply.outer(_kron(scalings[:h]), _kron(scalings[h:]))
+    return np.multiply(arr, w.reshape(arr.shape), out=out)
 
 
 def scaled_mode_sum(arr: np.ndarray, scalings, i: int) -> np.ndarray:
@@ -280,6 +292,47 @@ def scaled_mode_sum(arr: np.ndarray, scalings, i: int) -> np.ndarray:
             y = y.reshape(-1, n**b) @ _kron(scalings[i + trail - b + 1 : i + trail + 1])
             trail -= b
     return np.array(y)  # a copy: with k = 1 nothing is contracted and y views arr
+
+
+class PrefixContractions:
+    """Every mode's ``scaled_mode_sum(arr, u, i)`` of one array under
+    scalings that change one mode at a time, sharing work between modes.
+
+    Holds prefixes T_0 = arr and T_{j+1} = u_j contracted into the leading
+    mode of T_j (one gemv), so T_j has modes j..k-1 and n^(k-j) entries,
+    and answers c_i = ``scaled_mode_sum(T_i, u[i:], 0)``, which reads T_i
+    once.  Neither T_0..T_i nor c_i reads u_i, so ``set(i, v)`` keeps them
+    and drops every other prefix and held contraction.  Updating the modes
+    in ascending order and then asking for every c_i reads arrays of n^k
+    entries twice (T_0 for T_1, and for c_0); every other read is of a T_j,
+    j >= 1.  ``reset`` starts over, as after ``arr`` changed in place.
+    Callers read ``scalings`` and must not modify a returned contraction.
+    """
+
+    __slots__ = ("scalings", "_prefixes", "_held")
+
+    def __init__(self, arr: np.ndarray, scalings):
+        self._prefixes = [arr]
+        self.reset(scalings)
+
+    def reset(self, scalings) -> None:
+        self.scalings = list(scalings)
+        del self._prefixes[1:]
+        self._held = {}
+
+    def set(self, i: int, v: np.ndarray) -> None:
+        self.scalings[i] = v
+        del self._prefixes[i + 1 :]
+        self._held = {i: self._held[i]} if i in self._held else {}
+
+    def contraction(self, i: int) -> np.ndarray:
+        if i not in self._held:
+            T, u = self._prefixes, self.scalings
+            while len(T) <= i:
+                j = len(T) - 1
+                T.append((u[j] @ T[j].reshape(len(u[j]), -1)).reshape(T[j].shape[1:]))
+            self._held[i] = scaled_mode_sum(T[i], u[i:], 0)
+        return self._held[i]
 
 
 def marginal(P: CouplingTensor, i: int) -> np.ndarray:
@@ -340,11 +393,14 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec) -> CouplingTensor:
     """Repair an almost-coupling so its marginals match a fully fixed spec exactly.
 
     Two stages: first each mode-i slice j is scaled by
-    min(1, mu_i[j] / m_i(P)[j]), which drives every marginal weakly below its
-    target; then the rank-1 outer product of the per-mode deficit vectors,
-    normalized by the (k-1)-th power of the shared deficit mass, restores the
-    missing mass.  The result satisfies the marginals to membership tolerance
-    and moves P by at most 2 * sum_i ||m_i(P) - mu_i||_1 in entrywise l1.
+    min(1, mu_i[j] / m_i(P)[j]), mode by mode, which drives every marginal
+    weakly below its target; then the rank-1 outer product of the per-mode
+    deficit vectors, normalized by the (k-1)-th power of the shared deficit
+    mass, restores the missing mass.  The marginals come from one
+    ``PrefixContractions``, and the k slice scalings are applied to the
+    tensor in one pass at the end.  The result satisfies the marginals to
+    membership tolerance and moves P by at most
+    2 * sum_i ||m_i(P) - mu_i||_1 in entrywise l1.
     """
     if not spec.is_fully_fixed:
         raise ValueError("rounding requires a fully fixed marginal spec")
@@ -355,22 +411,18 @@ def round_to_polytope(P: CouplingTensor, spec: MarginalSpec) -> CouplingTensor:
         raise ValueError(f"rounding requires total mass 1 +- {MASS_TOL}, got {mass}")
 
     k = P.k
-    arr = np.array(P.to_dense())
-    ones = [np.ones(P.n)] * k
-    for i in range(k):
-        m = scaled_mode_sum(arr, ones, i)
-        mu = spec.marginals[i]
+    # the slice scalings x_i, each from the i-th marginal of P ⊙ x_0 ⊗ ... ⊗ x_{i-1}
+    dense = P.to_dense()
+    sums = PrefixContractions(dense, [np.ones(P.n)] * k)
+    for i, mu in enumerate(spec.marginals):
+        m = sums.contraction(i)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(m > 0, np.minimum(1.0, mu / m), 1.0)
-        arr *= along(scale, i, k)
-
-    deficits = []
-    for i in range(k):
-        deficits.append(np.maximum(spec.marginals[i] - scaled_mode_sum(arr, ones, i), 0.0))
+        sums.set(i, scale)
+    x = sums.scalings
+    deficits = [np.maximum(mu - x[i] * sums.contraction(i), 0.0) for i, mu in enumerate(spec.marginals)]
+    arr = scale_modes(dense, x)
     total = float(np.mean([d.sum() for d in deficits]))
     if total >= DEFICIT_EPS:
-        corr = deficits[0]
-        for d in deficits[1:]:
-            corr = np.multiply.outer(corr, d)
-        arr += corr / total ** (k - 1)
+        arr += _kron([deficits[0] / total ** (k - 1)] + deficits[1:]).reshape(arr.shape)
     return CouplingTensor.from_dense(arr)

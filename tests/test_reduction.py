@@ -366,6 +366,14 @@ def test_approx_reduction_reports_what_it_queried(kind, budget):
     assert res.witness_hint in vertices or (res.witness_hint is None and res.budget_exhausted)
 
 
+def test_approx_reduction_counts_its_own_queries_on_a_shared_oracle():
+    oracle = MotOracle.noisy_lp(random_cost(np.random.default_rng(1), "dense", 3, 3), eps=0.05, seed=2)
+    first = min_via_mot_approx(oracle, budget=30, seed=3)
+    second = min_via_mot_approx(oracle, budget=30, seed=4)
+    assert (first.queries, second.queries, oracle.queries) == (30, 30, 60)
+    assert first.budget_exhausted and second.budget_exhausted
+
+
 def test_oracle_path_builds_no_marginal_spec(monkeypatch):
     def forbidden(self):
         raise AssertionError("a MarginalSpec was built on the oracle path")

@@ -26,7 +26,15 @@ from motlab import (
     solve_lp,
 )
 from motlab.corpus import random_dense, random_marginals
-from motlab.tensors import along, check_cap, marginal_matrix, others, scaled_mode_sum
+from motlab.tensors import (
+    PrefixContractions,
+    along,
+    check_cap,
+    marginal_matrix,
+    others,
+    scale_modes,
+    scaled_mode_sum,
+)
 
 
 def random_sparse_coupling(rng, n, k, m):
@@ -364,6 +372,7 @@ def test_scaled_mode_sum_matches_einsum_and_marginal(n, k):
         P = K.copy()
         for m, v in enumerate(scalings):
             P *= along(v, m, k)
+        np.testing.assert_allclose(scale_modes(K, scalings), P, rtol=1e-14, atol=0)
         for i in range(k):
             rest = [m for m in range(k) if m != i]
             spec = ",".join([modes] + [modes[m] for m in rest]) + "->" + modes[i]
@@ -373,3 +382,35 @@ def test_scaled_mode_sum_matches_einsum_and_marginal(n, k):
             np.testing.assert_allclose(
                 scalings[i] * got, marginal(CouplingTensor.from_dense(P), i), rtol=1e-12, atol=0
             )
+
+
+def _scalings_with_zeros(rng, n, k):
+    scalings = [rng.random(n) + 0.5 for _ in range(k)]
+    for v in scalings:
+        v[rng.integers(n)] = 0.0
+    return scalings
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_prefix_contractions_match_scaled_mode_sum(n):
+    def check(sums, K, rng):
+        for i in rng.permutation(K.ndim):  # the order of queries decides which prefixes exist
+            np.testing.assert_allclose(
+                sums.contraction(i), scaled_mode_sum(K, sums.scalings, i), rtol=1e-12, atol=0
+            )
+
+    for k in range(1, 8):
+        rng = np.random.default_rng(100 * n + k)
+        K = rng.random((n,) * k)
+        ones_on_free = [rng.random(n) + 0.5 if m % 2 else np.ones(n) for m in range(k)]
+        sums = PrefixContractions(K, [np.ones(n)] * k)
+        check(sums, K, rng)
+        for scalings in (_scalings_with_zeros(rng, n, k), ones_on_free):
+            for i in list(range(k)) + list(rng.permutation(k)):  # Sinkhorn's order, then any
+                held = sums.contraction(i)
+                sums.set(i, scalings[i] * rng.uniform(0.5, 2.0))
+                assert sums.contraction(i) is held  # c_i does not read u_i
+                check(sums, K, rng)
+        K[...] = rng.random((n,) * k)  # the array changes in place, as on absorption
+        sums.reset(_scalings_with_zeros(rng, n, k))
+        check(sums, K, rng)
