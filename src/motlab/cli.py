@@ -254,6 +254,20 @@ def _job_argv(job: dict, base: Path, default_seed: int, idx: int, out_dir: Path)
     return argv
 
 
+def _job_reference(job: dict, idx: int) -> tuple[float | None, float]:
+    """A job's reference value (None without one) and its tolerance, 1e-6 by
+    default: finite numbers, and the tolerance at least 0."""
+    try:
+        ref = job.get("reference_value")
+        ref = None if ref is None else formats.parse_float(ref)
+        tol = formats.parse_float(job.get("tol", 1e-6))
+    except formats.SchemaError as exc:
+        raise formats.SchemaError(f"job {idx}: {exc}") from exc
+    if tol < 0:
+        raise formats.SchemaError(f"job {idx}: tol must be at least 0, got {tol}")
+    return ref, tol
+
+
 def _batch_worker(argv: list[str]) -> tuple[int, dict]:
     t0 = time.perf_counter()
     try:
@@ -288,6 +302,7 @@ def _run_batch(args) -> tuple[int, dict]:
     argvs = [
         _job_argv(job, base, default_seed, idx, out_dir) for idx, job in enumerate(jobs)
     ]
+    references = [_job_reference(job, idx) for idx, job in enumerate(jobs)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_batch_worker, argvs))
@@ -297,15 +312,12 @@ def _run_batch(args) -> tuple[int, dict]:
     csv_path = Path(args.csv) if args.csv else base / (manifest_path.stem + "_summary.csv")
     rows = []
     any_fail = False
-    for job, (code, summary) in zip(jobs, outcomes):
-        ref = job.get("reference_value")
-        tol = float(job.get("tol", 1e-6))
+    for job, (ref, tol), (code, summary) in zip(jobs, references, outcomes):
         value = summary.get("value")
         abs_err = ""
         passed = code == EXIT_OK
         if ref is not None and value is not None:
-            ref_f = formats.parse_float(ref)
-            abs_err = abs(value - ref_f)
+            abs_err = abs(value - ref)
             passed = passed and abs_err <= tol
         if summary.get("checks_passed") is False:
             passed = False
@@ -315,7 +327,7 @@ def _run_batch(args) -> tuple[int, dict]:
                 "instance": job.get("instance") or " ".join(np.atleast_1d(job.get("inputs", "")).tolist()),
                 "command": job.get("command"),
                 "value": "" if value is None else format(value, ".17g"),
-                "reference_value": "" if ref is None else str(ref),
+                "reference_value": "" if ref is None else str(job["reference_value"]),
                 "abs_err": "" if abs_err == "" else format(abs_err, ".17g"),
                 "queries": "" if summary.get("queries") is None else summary["queries"],
                 "wall_ms": format(summary["wall_ms"], ".3f"),

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import CnfFormula, KPartiteGraph, UndirectedGraph, twosat_satisfying_assignment
-from .tensors import all_index_tuples, check_cap
+from .tensors import all_index_tuples, along, check_cap
 
 _BATCH = 1 << 16
 
@@ -55,6 +55,26 @@ class CostOracle:
             hi = min(lo + _BATCH, total)
             out[lo:hi] = self.evaluate_batch(all_index_tuples(self.n, self.k, lo, hi))
         return out.reshape((self.n,) * self.k)
+
+    def pricer(self):
+        """Pricing for column generation, the MIN oracle of arXiv 2008.03006:
+        price(p, width, below) of (k, n) potentials p returns min_j C_j -
+        sum_i p[i][j_i] and the tuples below ``below``, a (c, k) array in
+        lexicographic order cut to the ``width`` least.  This default holds the
+        cost materialized here, once, and filters before it cuts, so which
+        tied tuples it keeps does not depend on those above ``below``."""
+        cost = self.materialize()
+
+        def price(p, width, below):
+            red = cost - along(p[0], 0, cost.ndim)  # a zero row subtracts exactly
+            for i in range(1, cost.ndim):
+                red -= along(p[i], i, cost.ndim)
+            new = np.flatnonzero(red < below)
+            if new.size > width:
+                new = np.sort(new[np.argpartition(red.ravel()[new], width)[:width]])
+            return float(red.min()), np.stack(np.unravel_index(new, cost.shape), axis=1)
+
+        return price
 
     def upper_bound(self) -> float:
         """Certified bound on max |entry| (exact for dense/set-function/2-SAT)."""

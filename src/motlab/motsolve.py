@@ -25,6 +25,7 @@ from .tensors import (
     MarginalSpec,
     PrefixContractions,
     _equal_fields,
+    all_index_tuples,
     along,
     checked_modes,
     others,
@@ -49,7 +50,7 @@ _DUAL_TOL = 1e-9
 # 35% of min_noisy's ops/s.
 _CG_MIN_COLUMNS = 512
 
-# Optimal bases a full-LP TransportLP keeps to answer ``value`` without a
+# Optimal bases a TransportLP keeps to answer ``value`` without a
 # HiGHS run, most recently used first.  Sized on the first 60 min_noisy ops
 # of seed 901 (2-core VM, one BLAS thread; median of 3 runs), against 27.6
 # ops/s with a HiGHS run per query: 1 basis 25.2 ops/s (7351 of 14196
@@ -319,15 +320,16 @@ def suggest_eta(n: int, k: int, value_gap: float) -> float:
 
 
 class _OptimalBasis:
-    """An optimal basis of a full transport LP, kept to answer other marginals.
+    """An optimal basis of a transport LP, kept to answer other marginals.
 
-    Only the right-hand side b (the marginals) changes between queries, so
-    the basis stays dual feasible.  It is optimal again at b whenever
-    x_B = A[N, B]^-1 b[N] is primal feasible: x_B >= 0 and A[:, B] x_B = b,
-    both to HiGHS's primal tolerance.  B is the basic columns, N the rows
-    whose slack is not basic.  The optimal value is then c_B . x_B: the
-    transport value is piecewise linear in b, one piece per optimal basis
-    (Bertsimas and Tsitsiklis, Introduction to Linear Optimization, 5.2).
+    Its potentials are feasible over every tuple and only the marginals b
+    change between queries, so it stays dual feasible for the full LP.  It
+    is optimal again at b whenever x_B = A[N, B]^-1 b[N] is primal feasible
+    (x_B >= 0 and A[:, B] x_B = b to HiGHS's primal tolerance), for B the
+    basic columns and N the rows whose slack is not basic.  The value is
+    then c_B . x_B: the transport value is piecewise linear in b, one piece
+    per optimal basis (Bertsimas and Tsitsiklis, Introduction to Linear
+    Optimization, 5.2).
     """
 
     __slots__ = ("block", "rows", "inverse", "cost")
@@ -350,36 +352,29 @@ class TransportLP:
 
     Column j has cost C_j and a unit coefficient in one equality row per
     constrained mode; only the right-hand side (the marginals) changes
-    between queries.  The cost is materialized once, and one ``HighsLP``
-    serves every query.  A query's marginals are an (m, n) array, row r for
-    mode ``constrained[r]``, and every row must lie on the simplex; only its
-    shape is checked, and a non-finite entry raises ValueError.
+    between queries, and one ``HighsLP`` serves every query.  A query's
+    marginals are an (m, n) array, row r for mode ``constrained[r]``, with
+    every row on the simplex; only their shape and finiteness are checked.
 
-    The LP is a master on the tuples it holds, which every query keeps.  Each
-    run starts from the basis the last one left (``HighsLP.solve``).  Below
-    ``_CG_MIN_COLUMNS`` columns (n^k) the constructor adds every tuple, so
-    the master is the full LP and a new instance's first query is a cold
+    The LP is a master on the index tuples it holds, which every query keeps,
+    and each run starts from the basis the last one left (``HighsLP.solve``).
+    Below ``_CG_MIN_COLUMNS`` columns (n^k) it holds every tuple, at the
+    costs of one ``materialize``, so a new instance's first query is a cold
     run: one-shot ``solve_lp`` returns what ``linprog`` would, bit for bit.
     Later queries agree on the value up to roundoff; their coupling and duals
-    are an optimal pair that can depend on earlier queries.
+    are an optimal pair that can depend on earlier queries.  From there on,
+    an empty master grows by each query's multimarginal north-west-corner
+    tuples, then by the new tuples the cost's ``pricer`` finds below
+    -``_DUAL_TOL`` (at most n k per run) at each run's potentials, until there
+    are none.  The pricer's minimum then certifies the potentials over every
+    tuple: the value is the full LP's up to roundoff, but the basic solution
+    may be another optimal one.
 
-    ``value`` returns the optimal value alone.  On the full LP with the
-    private bindings it first tries the ``_BASIS_CACHE_SIZE`` optimal bases
-    its latest HiGHS runs ended at, most recently used first, and answers
-    from the first one that is optimal at the query (``_OptimalBasis``),
+    ``value`` returns the optimal value alone.  With the private bindings it
+    first tries the ``_BASIS_CACHE_SIZE`` optimal bases its latest HiGHS runs
+    ended at, each certified over every tuple, most recently used first, and
+    answers from the first one optimal at the query (``_OptimalBasis``)
     without a run; such a value agrees with HiGHS's up to roundoff.
-
-    From ``_CG_MIN_COLUMNS`` columns on, the master starts empty and column
-    generation grows it.  A query adds the multimarginal north-west-corner
-    tuples of its marginals, runs the master, and prices every tuple with
-    the reduced cost C - sum_i p_i[j_i] under the run's potentials p, the
-    row duals as a (k, n) array with zero rows on free modes.  Up to n k of
-    the most negative tuples not yet held are added, until none is below
-    -``_DUAL_TOL``.  The potentials are then feasible for the full LP, a
-    certificate that is checked over every tuple before the answer is
-    returned: the value is the full LP's up to roundoff, but the basic
-    solution may be another optimal one.  A master basis need not be optimal
-    for the full LP, so ``value`` keeps no bases here.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -390,18 +385,17 @@ class TransportLP:
         if not constrained:
             raise ValueError("at least one constrained mode is required")
         n, k = C.n, C.k
-        self._cost = C.materialize()  # checks the dense cap before any n^k allocation
         self.n, self.k, self.constrained = n, k, constrained
+        self._C = C
         self._rows = np.array(constrained)  # the potentials' row of each block of n equality rows
-        self._held = np.zeros(self._cost.size, dtype=bool)  # tuples in the master, by flat index
-        self._cols = np.zeros(0, dtype=np.int64)  # self._cols[c]: flat index of master column c
+        self._tuples = np.zeros((0, k), dtype=np.int64)  # self._tuples[c]: index tuple of master column c
+        self._held = set()  # the rows of self._tuples as Python tuples, on column generation only
         self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
         self._lock = threading.Lock()
-        self._bases = None  # optimal bases for value, most recently used first
-        if self._cost.size < _CG_MIN_COLUMNS:
-            self._add(np.arange(self._cost.size))
-            if _core is not None:
-                self._bases = []
+        self._bases = [] if _core is not None else None  # optimal bases for value, most recently used first
+        self._price = None if n**k < _CG_MIN_COLUMNS else C.pricer()  # checks the dense cap
+        if self._price is None:  # materialize checks the dense cap before any n^k allocation
+            self._add(C.materialize().ravel(), all_index_tuples(n, k))
 
     def _columns(self, tuples):
         """Constraint columns of the (c, k) index tuples as CSC (data, indices,
@@ -413,27 +407,34 @@ class TransportLP:
         return np.ones(indices.size), indices, indptr
 
     def _checked(self, mu) -> np.ndarray:
-        """The marginals ``mu`` as a float array, once their shape fits this LP."""
+        """The marginals ``mu`` as a float array, once their shape fits this LP and they are finite."""
         mu, want = np.asarray(mu, dtype=float), (len(self.constrained), self.n)
         if mu.shape != want:
             raise ValueError(f"dimension mismatch: marginals of shape {mu.shape}, this LP was built for {want}")
+        if not np.isfinite(mu).all():
+            r, j = np.argwhere(~np.isfinite(mu))[0]
+            raise ValueError(f"marginal for mode {self.constrained[r]} has non-finite entry {mu[r, j]} at {j}")
         return mu
 
-    def _tuples(self, flat) -> np.ndarray:
-        """The (c, k) index tuples of the flat indices ``flat``."""
-        return np.stack(np.unravel_index(flat, self._cost.shape), axis=1)
+    def _add(self, costs, tuples) -> None:
+        """Add to the master the (c, k) index tuples ``tuples``, none of them held, at ``costs``."""
+        self._tuples = np.concatenate([self._tuples, tuples])
+        self._lp.add_cols(costs, np.zeros(len(costs)), *self._columns(tuples))
 
-    def _add(self, flat) -> None:
-        """Add to the master the tuples of the distinct flat indices ``flat``, none of them held."""
-        if flat.size == 0:
-            return
-        self._held[flat] = True
-        self._cols = np.concatenate([self._cols, flat])
-        self._lp.add_cols(self._cost.ravel()[flat], np.zeros(flat.size), *self._columns(self._tuples(flat)))
+    def _grow(self, tuples) -> bool:
+        """Add the distinct (c, k) index ``tuples`` the master does not hold; False if none is new."""
+        keys = list(map(tuple, tuples.tolist()))
+        new = [key not in self._held for key in keys]
+        if not any(new):
+            return False
+        self._held.update(keys)
+        tuples = tuples[new]
+        self._add(self._C.evaluate_batch(tuples), tuples)
+        return True
 
     def _nw_corner(self, mu) -> np.ndarray:
-        """Flat indices of the multimarginal north-west-corner tuples of
-        ``mu``, at most m(n - 1) + 1 of them; unconstrained modes take 0.
+        """The multimarginal north-west-corner tuples of ``mu``, at most
+        m(n - 1) + 1, distinct and sorted; unconstrained modes take 0.
 
         Walking t up from 0, each constrained mode moves on to its next entry
         once t reaches the cumulative sum of its marginal; each stretch of t
@@ -446,7 +447,8 @@ class TransportLP:
         for row, i in zip(cum, self.constrained):
             tuples[:, i] = np.searchsorted(row, starts, side="right")
         np.minimum(tuples, self.n - 1, out=tuples)  # a row summing to just under 1
-        return np.unique(np.ravel_multi_index(tuple(tuples.T), self._cost.shape))
+        # every column is nondecreasing, so the rows are sorted and repeats adjacent
+        return tuples[np.append(True, (tuples[1:] != tuples[:-1]).any(axis=1))]
 
     def _potentials(self, y) -> np.ndarray:
         """The equality-row duals ``y`` as a read-only (k, n) array, free modes getting zero rows."""
@@ -457,54 +459,35 @@ class TransportLP:
 
     def _run(self, mu):
         """Answer the checked marginals ``mu`` under the lock: run the master,
-        then price by column generation while some tuple is not held.
-        Returns x, the objective value, the last run's equality-row duals, the
-        iterations summed over all runs, and the flat tuple index of each
-        column of x.  A non-finite entry of ``mu`` raises ValueError first (no
-        kept basis is feasible at one)."""
-        if not np.isfinite(mu).all():
-            r, j = np.argwhere(~np.isfinite(mu))[0]
-            raise ValueError(f"marginal for mode {self.constrained[r]} has non-finite entry {mu[r, j]} at {j}")
+        and on column generation price until no tuple is new.  Returns x, the
+        objective value, the last run's equality-row duals, the iterations
+        summed over all runs, and the index tuple of each column of x."""
         self._lp.set_rhs(mu.ravel())
-        if self._cols.size < self._cost.size:
-            corner = self._nw_corner(mu)
-            self._add(corner[~self._held[corner]])
-        rounds, nit, width = 0, 0, self.n * self.k
+        if self._price is None:
+            return (*self._lp.solve(), self._tuples)
+        self._grow(self._nw_corner(mu))
+        rounds, nit = 0, 0
         while True:
             x, fun, y, it = self._lp.solve()
             rounds, nit = rounds + 1, nit + it
-            if self._cols.size == self._cost.size:
-                break
-            p = self._potentials(y)
-            red = self._cost - along(p[0], 0, self.k)  # a zero row subtracts exactly
-            for i in range(1, self.k):
-                red -= along(p[i], i, self.k)
-            red = red.ravel()
-            new = np.flatnonzero(red < -_DUAL_TOL)
-            new = new[~self._held[new]]
-            if new.size == 0:
-                worst = float(red.min())
+            worst, below = self._price(self._potentials(y), self.n * self.k, -_DUAL_TOL)
+            if not self._grow(below):
                 if worst < -_DUAL_TOL:
                     raise RuntimeError(
                         f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} "
                         f"below -{_DUAL_TOL:g}"
                     )
                 _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
-                           self._lp.what, rounds, self._cols.size, nit)
-                break
-            if new.size > width:
-                new = np.sort(new[np.argpartition(red[new], width)[:width]])
-            self._add(new)
-        return x, fun, y, nit, self._cols
+                           self._lp.what, rounds, len(self._tuples), nit)
+                return x, fun, y, nit, self._tuples
 
     def _keep_basis(self) -> None:
         """Put the last run's optimal basis at the front of the kept ones."""
         cols, rows = self._lp.basis()
-        flat = self._cols[cols]
         block = np.zeros((self.n * len(self.constrained), cols.size))
-        _, ones, _ = self._columns(self._tuples(flat))
+        _, ones, _ = self._columns(self._tuples[cols])
         block[ones.reshape(cols.size, -1), np.arange(cols.size)[:, None]] = 1.0
-        self._bases.insert(0, _OptimalBasis(block, rows, self._cost.ravel()[flat]))
+        self._bases.insert(0, _OptimalBasis(block, rows, self._C.evaluate_batch(self._tuples[cols])))
         del self._bases[_BASIS_CACHE_SIZE:]
 
     def value(self, mu) -> float:
@@ -533,11 +516,10 @@ class TransportLP:
         """
         mu = self._checked(mu)
         with self._lock:
-            x, fun, y, nit, cols = self._run(mu)
+            x, fun, y, nit, tuples = self._run(mu)
         p = self._potentials(y)
         support = x > _SUPPORT_EPS
-        n, k = self.n, self.k
-        coupling = CouplingTensor.from_support(n, k, self._tuples(cols[support]), x[support])
+        coupling = CouplingTensor.from_support(self.n, self.k, tuples[support], x[support])
         return MotSolution(
             value=float(fun),
             coupling=coupling,
@@ -549,13 +531,11 @@ class TransportLP:
 
 
 def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
-    """Exact transport value by LP (desk-scale backend: the cost is
-    materialized, so n^k must fit under the dense cap).
-
-    A one-shot ``TransportLP``, so from ``_CG_MIN_COLUMNS`` columns on the
-    LP is grown by column generation.  Solved with HiGHS dual simplex, so the
-    returned coupling is a basic solution and the equality multipliers are
-    optimal dual potentials; unconstrained modes get zero potentials.
+    """Exact transport value by LP, from a one-shot ``TransportLP`` (the full
+    LP below ``_CG_MIN_COLUMNS`` columns, column generation from there on);
+    either materializes the cost once, so n^k must fit under the dense cap.
+    Solved with HiGHS dual simplex: the coupling is a basic solution and the
+    equality multipliers are optimal potentials, zero on unconstrained modes.
     Callers querying one cost repeatedly should keep a ``TransportLP``.
     """
     if (C.n, C.k) != (spec.n, spec.k):

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from motlab import CnfFormula, KPartiteGraph, MarginalSpec, UndirectedGraph
+from motlab import CnfFormula, KPartiteGraph, MarginalSpec, UndirectedGraph, solve_lp
 from motlab import cli
-from motlab.cli import EXIT_SCHEMA, main
+from motlab.cli import EXIT_OK, EXIT_SCHEMA, main
 from motlab.corpus import random_cost, random_marginals
 from motlab.costs import LowRankCost
 from motlab.formats import load_instance, save_instance, write_cnf, write_graph, write_kpartite
@@ -379,6 +379,37 @@ def test_batch_reference_failure_sets_exit(tmp_path):
                   "flags": {"backend": "lp"}, "reference_value": "1000.0", "tol": 1e-6}],
     }))
     assert main(["batch", str(mpath)]) == 1
+
+
+@pytest.mark.parametrize("field, bad", [("tol", "inf"), ("tol", "nan"), ("tol", True), ("tol", -1),
+                                        ("reference_value", "abc"), ("reference_value", True)])
+def test_batch_rejects_a_reference_check_that_cannot_fail(tmp_path, capsys, field, bad):
+    # under a tolerance of inf or nan, any value would pass its reference check
+    save_instance(tmp_path / "i.json", random_cost(np.random.default_rng(10), "dense", 2, 2),
+                  MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2))
+    job = {"command": "solve-mot", "instance": "i.json", "flags": {"backend": "lp"},
+           "reference_value": "1000.0", "tol": 1e-6}
+    job[field] = bad
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"jobs": [_SOLVE_JOB, job]}))
+    assert main(["batch", str(mpath), "--csv", str(tmp_path / "s.csv")]) == EXIT_SCHEMA
+    assert "error: job 1:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not list(tmp_path.glob("reports/*"))
+
+
+def test_batch_tolerance_defaults_to_1e_6(tmp_path):
+    C = random_cost(np.random.default_rng(10), "dense", 2, 2)
+    spec = MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2)
+    save_instance(tmp_path / "i.json", C, spec)
+    value = solve_lp(C, spec).value
+    codes = []
+    for offset in (0.9e-6, 1.1e-6):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"jobs": [{"command": "solve-mot", "instance": "i.json",
+                                               "flags": {"backend": "lp"},
+                                               "reference_value": format(value + offset, ".17g")}]}))
+        codes.append(main(["batch", str(mpath), "--csv", str(tmp_path / "s.csv")]))
+    assert codes == [EXIT_OK, 1]
 
 
 def _manifest_exit(tmp_path, manifest, capsys):

@@ -34,6 +34,7 @@ from motlab import (
     suggest_eta,
 )
 from motlab.costs import SET_FUNCTION_TABLE_CAP
+from motlab.minsolve import objective_tensor
 from motlab.tensors import PrefixContractions, along, others
 from motlab.corpus import (
     random_cost,
@@ -524,22 +525,27 @@ def test_value_falls_through_to_highs_where_no_kept_basis_is_feasible(monkeypatc
     assert len(runs) == 1 and lp._bases == [kept, new]
 
 
-def test_column_generation_keeps_no_bases(monkeypatch):
-    rng = np.random.default_rng(42)
-    C = random_cost(rng, "pairwise", 2, 9)
-    stream = [np.stack(random_marginals(rng, 2, 9)) for _ in range(6)]
-    stream += [np.eye(2)[rng.integers(0, 2, 9)], stream[0]]
-    cold = [solve_lp(C, MarginalSpec.fully_fixed(list(mu))).value for mu in stream]
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_column_generation_answers_value_from_kept_bases(monkeypatch):
+    # a run's last pricing call certifies its basis over every tuple, so the
+    # basis is kept and answers later marginals as on the full LP
+    rng = np.random.default_rng(39)
+    corpus = [(C, specs) for _, C, specs in _value_corpus(rng, costs_per_family=3, queries=20)]
+    full = [[solve_lp(C, spec).value for spec in specs] for C, specs in corpus]
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    hits, real = [], motsolve._OptimalBasis.value
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a column-generation LP consulted the basis cache")
+    def recorded(basis, b):
+        value = real(basis, b)
+        hits.append(value is not None)
+        return value
 
-    monkeypatch.setattr(motsolve._OptimalBasis, "value", forbidden)
-    monkeypatch.setattr(motsolve.HighsLP, "basis", forbidden)
-    lp = TransportLP(C, range(9))
-    assert lp._bases is None
-    for mu, want in zip(stream, cold):
-        assert _close_to_cold(lp.value(mu), want)
+    monkeypatch.setattr(motsolve._OptimalBasis, "value", recorded)
+    for (C, specs), values in zip(corpus, full):
+        lp = TransportLP(C, range(C.k))
+        for spec, want in zip(specs, values):
+            assert _close_to_cold(lp.value(_rows(spec)), want), (C.family, spec)
+    assert any(hits)  # 275 of the 600 queries are answered without a run
 
 
 @pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
@@ -593,10 +599,67 @@ def test_column_generation_matches_the_full_lp(monkeypatch):
     monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
     for (C, spec), want in zip(cases, full):
         lp = TransportLP(C, spec.constrained)
-        assert lp._cols.size < C.n**C.k
+        assert len(lp._tuples) < C.n**C.k
         sol = lp.solve(_rows(spec))
         assert _close_to_cold(sol.value, want.value), (C.family, spec)
         assert _certified(C, spec, sol), (C.family, spec)
+
+
+def _priced_reference(f, width, below):
+    """What a pricer must return for the objective tensor f: its minimum and
+    flatnonzero(f < below) as tuples, filtered first and then cut to the
+    ``width`` least by one argpartition, in lexicographic order."""
+    f = f.ravel()
+    new = np.flatnonzero(f < below)
+    if new.size > width:
+        new = np.sort(new[np.argpartition(f[new], width)[:width]])
+    return float(f.min()), new
+
+
+def _check_pricer(C, p, width, below=-motsolve._DUAL_TOL):
+    f = objective_tensor(C, p)
+    worst, tuples = C.pricer()(p, width, below)
+    want_min, want = _priced_reference(f, width, below)
+    assert worst == want_min
+    assert tuples.shape == (want.size, C.k)
+    assert np.array_equal(np.ravel_multi_index(tuple(tuples.T), f.shape), want)
+    # the documented cut: the width least of those below, none above below
+    kept = f.ravel()[want]
+    rest = np.setdiff1d(np.flatnonzero(f.ravel() < below), want)
+    assert (kept < below).all() and (rest.size == 0 or kept.max() <= f.ravel()[rest].min())
+    return f
+
+
+def test_default_pricer_matches_the_objective_tensor(monkeypatch):
+    # at random potentials, and at the duals of every master run of column
+    # generation on the spec corpus, the last of each run certifying
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    rng = np.random.default_rng(44)
+    count = 0
+    for family, n, k in FAMILY_SIZES:
+        C = random_cost(rng, family, n, k)
+        points = [rng.normal(size=(k, n)), np.zeros((k, n))]
+        for spec in _lp_specs(rng, n, k):
+            lp = TransportLP(C, spec.constrained)
+            price = lp._price
+            lp._price = lambda p, width, below: points.append(p) or price(p, width, below)
+            lp.solve(_rows(spec))
+        for p in points:
+            for width in (1, n * k, n**k):
+                _check_pricer(C, p, width)
+        count += len(points)
+    assert count >= (2 + 4) * len(FAMILY_SIZES)  # 385: each of the 4 specs runs the master at least once
+
+
+def test_pricer_filters_before_it_cuts_ties():
+    # integer entries tie: 22 tuples lie below zero and the cut at n k = 12
+    # falls inside the 8 tied at -2; which of those it keeps depends on the
+    # array argpartition runs over (here, partitioning all 64 tuples and
+    # filtering afterwards keeps others)
+    C = random_cost(np.random.default_rng(7), "dense_integer", 4, 3)
+    f = _check_pricer(C, np.zeros((3, 4)), 12)
+    below = np.sort(f[f < -motsolve._DUAL_TOL])
+    assert below.size > 12 and below[11] == below[12]
 
 
 def test_column_generation_stream_matches_one_shot_full_solves(monkeypatch):
@@ -652,8 +715,9 @@ def test_column_generation_terminates_without_readding_columns(monkeypatch):
     assert _certified(C, spec, sol)
     # 17 runs when pinned; each run but the last adds at most n k = 48 new columns
     assert model.calls.count("run") <= 40
-    assert sum(added) == lp._cols.size == np.unique(lp._cols).size == lp._held.sum()
-    assert lp._cols.size <= 7 * 6 + 1 + 48 * (model.calls.count("run") - 1)
+    held = len(lp._tuples)
+    assert sum(added) == held == len(np.unique(lp._tuples, axis=0)) == len(lp._held)
+    assert held <= 7 * 6 + 1 + 48 * (model.calls.count("run") - 1)
 
 
 @pytest.mark.parametrize("at_threshold", [True, False])
@@ -666,7 +730,7 @@ def test_column_generation_threshold_boundary(at_threshold, monkeypatch):
     if not at_threshold:  # this instance is then at the threshold minus one
         monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 2**9 + 1)
     lp = TransportLP(C, range(9))
-    assert lp._cols.size == (0 if at_threshold else 2**9)
+    assert len(lp._tuples) == (0 if at_threshold else 2**9)
     sol = lp.solve(_rows(spec))
     assert _close_to_cold(sol.value, want.value)
     assert _certified(C, spec, sol)
@@ -683,7 +747,7 @@ def test_column_generation_logs_one_record_per_query(caplog):
         TransportLP(PERM, range(2)).solve(_rows(HALF))  # below the threshold: no record
     assert [r.name for r in caplog.records] == ["motlab", "motlab"]
     rounds, held, iterations = caplog.records[1].args[1:]
-    assert rounds >= 1 and held == lp._cols.size and iterations == sol.iterations
+    assert rounds >= 1 and held == len(lp._tuples) and iterations == sol.iterations
 
 
 def test_dual_feasibility_checks():

@@ -21,6 +21,7 @@ from motlab import (
     marginal,
     min_bruteforce,
     min_via_mot_exact,
+    motsolve,
     round_to_polytope,
     sinkhorn,
     solve_lp,
@@ -248,10 +249,17 @@ def test_transport_lp_checks_the_cap_before_enumerating(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated the n^k index tuples before checking the cap")
 
+    monkeypatch.setattr(motsolve, "all_index_tuples", enumerated)
     monkeypatch.setattr(TransportLP, "_add", enumerated)
     monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K - 1))
     with pytest.raises(CapExceededError):
         TransportLP(_PAIRWISE, range(_K))
+    # column generation builds its pricer, which materializes, right here too
+    monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    with pytest.raises(CapExceededError):
+        TransportLP(_PAIRWISE, range(_K))
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", str(_N**_K))
+    assert TransportLP(_PAIRWISE, range(_K))._tuples.size == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "1e7"])
