@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -297,12 +298,12 @@ def _run_batch(args) -> tuple[int, dict]:
     default_seed = formats.parse_int(manifest.get("seed", 0))
     base = manifest_path.parent
     out_dir = Path(args.out_dir) if args.out_dir else base / "reports"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     argvs = [
         _job_argv(job, base, default_seed, idx, out_dir) for idx, job in enumerate(jobs)
     ]
     references = [_job_reference(job, idx) for idx, job in enumerate(jobs)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_batch_worker, argvs))
@@ -349,7 +350,10 @@ def _run_batch(args) -> tuple[int, dict]:
     return (EXIT_CHECK_FAILED if any_fail else EXIT_OK), {"csv": str(csv_path)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: a batch dispatches every job through it,
+    and its workers inherit it from the parent."""
     parser = argparse.ArgumentParser(
         prog="motlab",
         description="Multimarginal transport solvers, tuple-minimization reductions, and construction verifiers.",

@@ -60,15 +60,15 @@ _CG_MIN_COLUMNS = 512
 _BASIS_CACHE_SIZE = 8
 
 # Sinkhorn uses a mode's contraction c_i (``tensors.PrefixContractions``: the
-# prefixes T_1..T_i of K, then ``scaled_mode_sum`` of T_i) as it is only
-# while every live entry is at least this times R, the largest product of the
-# other modes' scalings, prod_{m != i} max(1, max u_m).  Only an exp or a
-# product landing below the smallest normal double, 2^-1022, can be off by
-# more than a relative rounding: by at most 2^-1074 (a sum landing there is
-# exact), an error then multiplied by at most R on its way into c_i.  Per
-# entry of K, c_i takes one exp; the prefixes' products, n^k + n^(k-1) + ...
-# + n^(k-i+1); and those of scaled_mode_sum, n^(k-i) in its first gemv and
-# under a 63rd of that in the rest (each reads an array at least
+# prefixes T_1..T_i of K, then the gemv chain over the trailing modes of T_i)
+# as it is only while every live entry is at least this times R, the largest
+# product of the other modes' scalings, prod_{m != i} max(1, max u_m).  Only
+# an exp or a product landing below the smallest normal double, 2^-1022, can
+# be off by more than a relative rounding: by at most 2^-1074 (a sum landing
+# there is exact), an error then multiplied by at most R on its way into c_i.
+# Per entry of K, c_i takes one exp; the prefixes' products, n^k + n^(k-1) +
+# ... + n^(k-i+1); and those of the trailing chain, n^(k-i) in its first gemv
+# and under a 63rd of that in the rest (each reads an array at least
 # _GEMV_MIN_LENGTH = 64 times smaller).  That is under
 # 1 + n/(n-1) + 1/63 <= 3 + 1/63 per entry at n >= 2 (at most k + 1 in all at
 # n = 1).  K holds fewer than 2^51 entries, so underflow costs c_i less than
@@ -549,10 +549,10 @@ def sinkhorn(C: CostOracle, spec: MarginalSpec, cfg: SinkhornConfig) -> MotSolut
     The iterate is P = K * u_0 (x) ... (x) u_{k-1}: the kernel K = exp(log_K),
     where log_K = -eta C shifted to max 0, times one scaling vector per mode
     (all ones on free modes).  One cycle sets the scaling of each constrained
-    mode in turn to mu_i / c_i, with c_i = ``scaled_mode_sum(K, u, i)``, so
-    that its marginal matches (zero targets keep zero scalings); iteration
-    stops once the summed l1 marginal error falls under ``cfg.tol``.  The
-    reported value is the entropically regularized objective
+    mode in turn to mu_i / c_i, where c_i sums K * (x)_{m != i} u_m over
+    every mode but i, so that its marginal matches (zero targets keep zero
+    scalings); iteration stops once the summed l1 marginal error falls under
+    ``cfg.tol``.  The reported value is the entropically regularized objective
     <P, C> - H(P)/eta of the best iterate, materialized once at the end: the
     converged iterate, or else the one of least error, where a later iterate
     replaces the best so far only if its error is lower by more than both

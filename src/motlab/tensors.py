@@ -240,11 +240,12 @@ def others(i: int, k: int) -> tuple[int, ...]:
     return tuple(ax for ax in range(k) if ax != i)
 
 
-# Each gemv of ``scaled_mode_sum`` contracts the fewest neighbouring modes
-# whose Kronecker vector has at least this many entries.  Mean over all modes
-# of one contraction, one BLAS thread on a 2-core VM, against contracting a
-# whole side in one gemv: 7^6 31 vs 67 us, 2^17 55 vs 318 us, 3^11 60 vs
-# 219 us; thresholds 32 and 256 were within 20% of 64 on these shapes.
+# Each gemv of ``PrefixContractions.contraction`` contracts the fewest
+# trailing modes whose Kronecker vector has at least this many entries.  Mean
+# over all modes of one contraction from its held prefix, one BLAS thread on a
+# 2-core VM, against contracting every trailing mode in one gemv: 7^6 12.5 vs
+# 23.4 us, 2^17 26.8 vs 128 us, 3^11 23.2 vs 83.3 us; thresholds 32 and 256
+# were within 5% of 64 on these shapes.
 _GEMV_MIN_LENGTH = 64
 
 
@@ -267,46 +268,26 @@ def scale_modes(arr: np.ndarray, scalings, out=None) -> np.ndarray:
     return np.multiply(arr, w.reshape(arr.shape), out=out)
 
 
-def scaled_mode_sum(arr: np.ndarray, scalings, i: int) -> np.ndarray:
-    """Sum out every mode of arr ⊙ u_0 ⊗ ... ⊗ u_{k-1} but i, leaving u_i out.
-
-    ``scalings`` holds one length-n vector u_m per mode; entry i is not read,
-    so u_i times the result is the i-th marginal of the scaled array.  A
-    chain of BLAS gemvs over reshaped views of ``arr``, each contracting a
-    block of leading or trailing modes against the Kronecker product of
-    their scalings, the side with more modes first: the first gemv reads
-    ``arr`` once, the later ones read an array at least
-    ``_GEMV_MIN_LENGTH`` times smaller, and nothing of size n^k is written.
-    """
-    n, k = arr.shape[0], arr.ndim
-    y = arr.reshape(-1)
-    lead, trail = i, k - i - 1  # modes still to contract before and after i
-    while lead or trail:
-        b = 1
-        while b < max(lead, trail) and n**b < _GEMV_MIN_LENGTH:
-            b += 1
-        if lead >= trail:
-            y = _kron(scalings[i - lead : i - lead + b]) @ y.reshape(n**b, -1)
-            lead -= b
-        else:
-            y = y.reshape(-1, n**b) @ _kron(scalings[i + trail - b + 1 : i + trail + 1])
-            trail -= b
-    return np.array(y)  # a copy: with k = 1 nothing is contracted and y views arr
-
-
 class PrefixContractions:
-    """Every mode's ``scaled_mode_sum(arr, u, i)`` of one array under
-    scalings that change one mode at a time, sharing work between modes.
+    """Every mode's contraction c_i of one k-mode array under scalings that
+    change one mode at a time, sharing work between modes.
 
-    Holds prefixes T_0 = arr and T_{j+1} = u_j contracted into the leading
-    mode of T_j (one gemv), so T_j has modes j..k-1 and n^(k-j) entries,
-    and answers c_i = ``scaled_mode_sum(T_i, u[i:], 0)``, which reads T_i
-    once.  Neither T_0..T_i nor c_i reads u_i, so ``set(i, v)`` keeps them
-    and drops every other prefix and held contraction.  Updating the modes
-    in ascending order and then asking for every c_i reads arrays of n^k
-    entries twice (T_0 for T_1, and for c_0); every other read is of a T_j,
-    j >= 1.  ``reset`` starts over, as after ``arr`` changed in place.
-    Callers read ``scalings`` and must not modify a returned contraction.
+    c_i sums arr ⊙ u_0 ⊗ ... ⊗ u_{k-1} over every mode but i, leaving u_i
+    out, so u_i ⊙ c_i is the i-th marginal of the scaled array.  Holds
+    prefixes T_0 = arr and T_{j+1} = u_j contracted into the leading mode of
+    T_j (one gemv), so T_j has modes j..k-1 and n^(k-j) entries.  c_i
+    contracts the trailing modes of T_i by a chain of BLAS gemvs, last modes
+    first, each against the Kronecker product of the fewest modes' scalings
+    that has ``_GEMV_MIN_LENGTH`` entries (or of all modes left): the first
+    gemv reads T_i once, the later ones read an array at least 64 times
+    smaller, and nothing of size n^k is written.  Neither T_0..T_i nor c_i
+    reads u_i, so ``set(i, v)`` keeps them and drops every other prefix and
+    held contraction.  Updating the modes in ascending order and then asking
+    for every c_i reads arrays of n^k entries twice (T_0 for T_1, and for
+    c_0); every other read is of a T_j, j >= 1.  ``reset`` starts over, as
+    after ``arr`` changed in place.  A contraction is a new array, never a
+    view of ``arr`` or of a prefix.  Callers read ``scalings`` and must not
+    modify a returned contraction.
     """
 
     __slots__ = ("scalings", "_prefixes", "_held")
@@ -331,7 +312,15 @@ class PrefixContractions:
             while len(T) <= i:
                 j = len(T) - 1
                 T.append((u[j] @ T[j].reshape(len(u[j]), -1)).reshape(T[j].shape[1:]))
-            self._held[i] = scaled_mode_sum(T[i], u[i:], 0)
+            n, y = len(u[i]), T[i].reshape(-1)
+            last = len(u) - 1  # the last mode not yet contracted
+            while last > i:
+                b = 1
+                while b < last - i and n**b < _GEMV_MIN_LENGTH:
+                    b += 1
+                y = y.reshape(-1, n**b) @ _kron(u[last - b + 1 : last + 1])
+                last -= b
+            self._held[i] = np.array(y)  # a copy: at the last mode y views T_i
         return self._held[i]
 
 

@@ -28,9 +28,12 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name, ops", [("transport_lp", 60), ("min_exact", 120)])
+@pytest.mark.parametrize(
+    "name, ops", [("transport_lp", 60), ("min_exact", 120), ("transport_sinkhorn", 20), ("batch_cli", 10)]
+)
 def test_benchmark_checks_pass_on_seed_901(workloads, tmp_path, name, ops):
-    workload = workloads.WORKLOADS[name](901, tmp_path)
+    workload = workloads.WORKLOADS[name](901, tmp_path)  # batch_cli writes its manifests here
+    assert workload.jobs == 2  # batch_cli's process pool, as the benchmark runs it
     failures = []
     for i in range(ops):
         op = workload.make_op(i)

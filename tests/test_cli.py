@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,9 +337,9 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert run("serial", 1) == run("par", 2)
 
 
-@pytest.mark.parametrize("njobs", [1, 2])
-def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
-    monkeypatch.setenv("MOTLAB_DENSE_CAP", "8")
+def _worker_error_manifest(tmp_path):
+    """A manifest of a job that passes, one over a dense cap of 8 and one
+    with a flag argparse rejects."""
     rng = np.random.default_rng(8)
     save_instance(tmp_path / "ok.json", random_cost(rng, "dense", 2, 2),
                   MarginalSpec.fully_fixed(random_marginals(rng, 2, 2)))
@@ -347,6 +351,13 @@ def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
         {"command": "solve-mot", "instance": "big.json", "flags": {"backend": "lp"}},
         {"command": "solve-mot", "instance": "ok.json", "flags": {"no-such-flag": 1}},
     ]}))
+    return mpath
+
+
+@pytest.mark.parametrize("njobs", [1, 2])
+def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", "8")
+    mpath = _worker_error_manifest(tmp_path)
     out = tmp_path / "s.csv"
     code = main(["batch", str(mpath), "--jobs", str(njobs), "--csv", str(out),
                  "--out-dir", str(tmp_path / "reports")])
@@ -356,6 +367,34 @@ def test_batch_worker_errors_fail_their_rows(tmp_path, monkeypatch, njobs):
     assert [r["pass"] for r in rows] == ["true", "false", "false"]
     # over the dense cap (3) and rejected by argparse (2) stay distinguishable
     assert [r["exit_code"] for r in rows] == ["0", "3", "2"]
+
+
+def test_batch_rows_do_not_depend_on_earlier_commands_in_the_process(tmp_path, monkeypatch):
+    # the parser is built once per process: an argparse error in one batch
+    # must leave it as a fresh process would have it for the next
+    monkeypatch.setenv("MOTLAB_DENSE_CAP", "8")
+    bad = _worker_error_manifest(tmp_path)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"jobs": [
+        {"command": "solve-mot", "instance": "ok.json", "flags": {"backend": "lp"}},
+        {"command": "solve-mot", "instance": "ok.json", "flags": {"backend": "sinkhorn", "eta": 5}},
+    ]}))
+
+    def rows(mpath, fresh):
+        tag = tmp_path / f"{mpath.stem}-{'fresh' if fresh else 'same'}"
+        argv = ["batch", str(mpath), "--csv", f"{tag}.csv", "--out-dir", str(tag)]
+        if fresh:
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            code = subprocess.run([sys.executable, "-m", "motlab.cli", *argv], env=env,
+                                  capture_output=True, timeout=300).returncode
+        else:
+            code = main(argv)
+        with open(f"{tag}.csv") as fh:
+            return code, [{k: v for k, v in r.items() if k != "wall_ms"} for r in csv.DictReader(fh)]
+
+    in_process = [rows(bad, False), rows(good, False)]
+    assert in_process == [rows(bad, True), rows(good, True)]
+    assert [code for code, _ in in_process] == [1, EXIT_OK]
 
 
 @pytest.mark.parametrize("njobs", [0, -4])
@@ -394,7 +433,7 @@ def test_batch_rejects_a_reference_check_that_cannot_fail(tmp_path, capsys, fiel
     mpath.write_text(json.dumps({"jobs": [_SOLVE_JOB, job]}))
     assert main(["batch", str(mpath), "--csv", str(tmp_path / "s.csv")]) == EXIT_SCHEMA
     assert "error: job 1:" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists() and not list(tmp_path.glob("reports/*"))
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "reports").exists()
 
 
 def test_batch_tolerance_defaults_to_1e_6(tmp_path):
@@ -420,7 +459,7 @@ def _manifest_exit(tmp_path, manifest, capsys):
     mpath.write_text(json.dumps(manifest))
     code = main(["batch", str(mpath), "--csv", str(tmp_path / "s.csv")])
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "reports").exists()
     return code
 
 
@@ -433,6 +472,11 @@ def test_batch_rejects_a_manifest_that_is_a_list(tmp_path, capsys):
 
 def test_batch_rejects_a_job_that_is_a_string(tmp_path, capsys):
     assert _manifest_exit(tmp_path, {"jobs": [_SOLVE_JOB, "solve-mot i.json"]}, capsys) == EXIT_SCHEMA
+
+
+def test_batch_rejects_a_job_with_an_unknown_command(tmp_path, capsys):
+    jobs = [_SOLVE_JOB, {"command": "solve-everything", "instance": "i.json"}]
+    assert _manifest_exit(tmp_path, {"jobs": jobs}, capsys) == EXIT_SCHEMA
 
 
 def test_batch_rejects_job_inputs_that_are_a_number(tmp_path, capsys):

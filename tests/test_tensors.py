@@ -34,7 +34,6 @@ from motlab.tensors import (
     marginal_matrix,
     others,
     scale_modes,
-    scaled_mode_sum,
 )
 
 
@@ -352,6 +351,24 @@ def test_marginal_matrix_shape():
     assert np.allclose(M[1], [0, 0, 1])
 
 
+def scaled_mode_sum(K, scalings, i):
+    """The reference for c_i: K ⊙ u_0 ⊗ ... ⊗ u_{k-1} summed over every mode
+    but i, leaving u_i out, as one einsum."""
+    k = K.ndim
+    modes, rest = "abcdefg"[:k], others(i, k)
+    spec = ",".join([modes] + [modes[m] for m in rest]) + "->" + modes[i]
+    return np.einsum(spec, K, *[scalings[m] for m in rest])
+
+
+def _contraction(sums, K, i):
+    """``sums.contraction(i)``, checked to be a length-n array that owns its
+    memory: at k = 1 and at the last mode no gemv runs, and what is left to
+    return is a view of K or of a prefix."""
+    got = sums.contraction(i)
+    assert got.shape == K.shape[:1] and got.flags.owndata and not np.shares_memory(got, K)
+    return got
+
+
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (5, 1), (2, 10), (7, 6), (3, 3)])
 def test_mode_sum_matches_axis_sum(n, k):
     # the unscaled mode sum, as round_to_polytope takes it
@@ -360,33 +377,30 @@ def test_mode_sum_matches_axis_sum(n, k):
     if n > 1:  # zero-padded: the last slice of every mode is empty
         arrays.append(np.pad(rng.random((n - 1,) * k), [(0, 1)] * k))
     for arr in arrays:
+        sums = PrefixContractions(arr, [np.ones(n)] * k)
         for i in range(k):
             ref = arr.sum(axis=others(i, k))
-            got = scaled_mode_sum(arr, [np.ones(n)] * k, i)
-            assert got.shape == (n,)
-            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+            assert np.allclose(_contraction(sums, arr, i), ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, 8)])
 def test_scaled_mode_sum_matches_einsum_and_marginal(n, k):
+    # every c_i of one PrefixContractions, asked for in descending order
     rng = np.random.default_rng(10 * n + k)
     K = rng.random((n,) * k)
     with_zeros = [rng.random(n) + 0.5 for _ in range(k)]
     for v in with_zeros:
         v[rng.integers(n)] = 0.0
     ones_on_free = [rng.random(n) + 0.5 if m % 2 else np.ones(n) for m in range(k)]
-    modes = "abcdefg"[:k]
     for scalings in (with_zeros, ones_on_free):
         P = K.copy()
         for m, v in enumerate(scalings):
             P *= along(v, m, k)
         np.testing.assert_allclose(scale_modes(K, scalings), P, rtol=1e-14, atol=0)
-        for i in range(k):
-            rest = [m for m in range(k) if m != i]
-            spec = ",".join([modes] + [modes[m] for m in rest]) + "->" + modes[i]
-            got = scaled_mode_sum(K, scalings, i)
-            assert got.shape == (n,) and not np.shares_memory(got, K)
-            np.testing.assert_allclose(got, np.einsum(spec, K, *[scalings[m] for m in rest]), rtol=1e-12, atol=0)
+        sums = PrefixContractions(K, scalings)
+        for i in reversed(range(k)):
+            got = _contraction(sums, K, i)
+            np.testing.assert_allclose(got, scaled_mode_sum(K, scalings, i), rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 scalings[i] * got, marginal(CouplingTensor.from_dense(P), i), rtol=1e-12, atol=0
             )
@@ -404,7 +418,7 @@ def test_prefix_contractions_match_scaled_mode_sum(n):
     def check(sums, K, rng):
         for i in rng.permutation(K.ndim):  # the order of queries decides which prefixes exist
             np.testing.assert_allclose(
-                sums.contraction(i), scaled_mode_sum(K, sums.scalings, i), rtol=1e-12, atol=0
+                _contraction(sums, K, i), scaled_mode_sum(K, sums.scalings, i), rtol=1e-12, atol=0
             )
 
     for k in range(1, 8):
