@@ -39,7 +39,7 @@ print("envelope at a vertex equals the raw objective:")
 print(f"  F(point mass)  = {envelope_value(oracle, p, vertex).value:.6f}")
 print(f"  f(1,2,0)       = {C.evaluate((1, 2, 0)) - p[0][1] - p[1][2] - p[2][0]:.6f}")
 
-em = minimize_envelope_exact(oracle, p, target_gap=1e-7)
+em = minimize_envelope_exact(oracle, p)
 print(f"\ncutting-plane envelope minimization: {em.iterations} oracle queries")
 print(f"  best F {em.value:.8f}, certified lower bound {em.lower_bound:.8f}")
 res = purify(C, p, em.coupling)  # the coupling of the best query: no re-query

@@ -285,10 +285,12 @@ class MotSolution:
     LP solutions carry the dual potentials certifying optimality as a
     read-only (k, n) array, row i for mode i (zero on free modes);
     ``dual_value`` restates their objective for the strong-duality check.
+    A value-only answer (the noisy LP oracle's) carries no coupling and no
+    duals.
     """
 
     value: float
-    coupling: CouplingTensor
+    coupling: CouplingTensor | None
     duals: np.ndarray | None
     backend: str
     converged: bool = True

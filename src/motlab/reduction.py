@@ -23,41 +23,37 @@ import numpy as np
 
 from .costs import CostOracle
 from .minsolve import MinResult, as_weights, weighted_objective
-from .motsolve import HighsLP, TransportLP
+from .motsolve import HighsLP, MotSolution, TransportLP
 from .tensors import CouplingTensor
 
 DEFAULT_TARGET_GAP = 1e-6
+# Cutting-plane iterations before minimize_envelope_exact gives up uncertified.
+_MAX_ITERS = 600
 
 # Annealing runs of min_via_mot_approx, and the vertices snapped from each.
 _RESTARTS = 3
 _SAMPLES_PER_RESTART = 6
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
-    value: float
-    duals: np.ndarray | None = None
-    coupling: CouplingTensor | None = None
-
-
 class MotOracle:
-    """Value oracle mu -> transport value with declared additive accuracy.
+    """Transport-value oracle mu -> ``MotSolution`` on the cost C, with
+    declared additive accuracy.
 
-    ``query`` counts and answers; the exact envelope path, which needs
-    optimal dual potentials, checks for them where it uses them.  The query
-    counter is shared across threads.
+    ``fn`` answers a (k, n) array of marginals.  A value-only answer carries
+    no coupling and no duals; the exact envelope path, which needs optimal
+    dual potentials, checks for them where it uses them.  The query counter
+    is shared across threads.
     """
 
-    def __init__(self, fn, n: int, k: int, accuracy: float, c_max: float):
+    def __init__(self, fn, C: CostOracle, accuracy: float):
         self._fn = fn
-        self.n = n
-        self.k = k
+        self.cost = C
+        self.n, self.k = C.n, C.k
         self.accuracy = float(accuracy)
-        self.c_max = float(c_max)
         self.queries = 0
         self._lock = threading.Lock()
 
-    def query(self, mu: np.ndarray) -> OracleAnswer:
+    def query(self, mu: np.ndarray) -> MotSolution:
         """Answer at mu, a (k, n) array whose rows must lie on the simplex (unchecked)."""
         with self._lock:
             self.queries += 1
@@ -67,13 +63,7 @@ class MotOracle:
     def exact_lp(cls, C: CostOracle) -> "MotOracle":
         """Exact LP answers on fully fixed marginals from one warm-started
         ``TransportLP``: which optimal coupling comes out can depend on earlier queries."""
-        lp = TransportLP(C, range(C.k))
-
-        def fn(mu):
-            sol = lp.solve(mu)
-            return OracleAnswer(value=sol.value, duals=sol.duals, coupling=sol.coupling)
-
-        return cls(fn, C.n, C.k, 0.0, C.upper_bound())
+        return cls(TransportLP(C, range(C.k)).solve, C, 0.0)
 
     @classmethod
     def noisy_lp(cls, C: CostOracle, eps: float, seed=None) -> "MotOracle":
@@ -85,8 +75,7 @@ class MotOracle:
         one is feasible at the query, else from a run warm-started from the
         previous one; nothing is shared between oracles.
         """
-        if not (math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        eps = _checked_eps(eps)
         lp = TransportLP(C, range(C.k))
         rng = np.random.default_rng(seed)
         lock = threading.Lock()
@@ -95,9 +84,16 @@ class MotOracle:
             value = lp.value(mu)
             with lock:
                 noise = rng.uniform(-eps, eps)
-            return OracleAnswer(value=value + noise)
+            return MotSolution(value=value + noise, coupling=None, duals=None, backend="noisy_lp")
 
-        return cls(fn, C.n, C.k, eps, C.upper_bound())
+        return cls(fn, C, eps)
+
+
+def _checked_eps(eps) -> float:
+    """A noise level ``eps`` as a float; it must be finite and >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    return float(eps)
 
 
 @dataclass(frozen=True)
@@ -205,26 +201,17 @@ class CuttingPlaneMaster:
         return float(fun), x[1:].reshape(self.k, self.n)
 
 
-def minimize_envelope_exact(
-    oracle: MotOracle,
-    p,
-    target_gap: float = DEFAULT_TARGET_GAP,
-    max_iters: int = 600,
-) -> EnvelopeMinimization:
+def minimize_envelope_exact(oracle: MotOracle, p) -> EnvelopeMinimization:
     """Cutting-plane minimization of the envelope over the product simplex.
 
     Each oracle answer yields the affine minorant F(mu_s) + <g_s, . - mu_s>;
     the master LP minimizes the current polyhedral lower model over the
     product simplex, giving both the next query point and a certified lower
     bound.  Terminates once best-seen value minus lower bound is within
-    ``target_gap``; exhausting ``max_iters`` returns the best iterate
-    flagged uncertified.  The dimensions are the oracle's; an answer without
-    dual potentials, which give the cut, raises ValueError.
+    ``DEFAULT_TARGET_GAP``; exhausting ``_MAX_ITERS`` iterations returns the
+    best iterate flagged uncertified.  The dimensions are the oracle's; an
+    answer without dual potentials, which give the cut, raises ValueError.
     """
-    if target_gap <= 0:
-        raise ValueError("target_gap must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if oracle.accuracy != 0.0:
         raise ValueError("the exact envelope path needs an exact oracle")
     n, k = oracle.n, oracle.k
@@ -239,7 +226,7 @@ def minimize_envelope_exact(
     lb_history = []
     certified = False
     it = 0
-    while it < max_iters:
+    while it < _MAX_ITERS:
         it += 1
         point = _envelope_value(oracle, p, mu)
         if point.subgradient is None:
@@ -253,7 +240,7 @@ def minimize_envelope_exact(
         master.add_cut(g, point.value - float(g @ mu.ravel()))
         lower, x = master.solve()
         lb_history.append(lower)
-        if best_val - lower <= target_gap:
+        if best_val - lower <= DEFAULT_TARGET_GAP:
             certified = True
             break
         mu = _normalized_rows(x)
@@ -292,9 +279,9 @@ def purify(C: CostOracle, p, coupling: CouplingTensor) -> MinResult:
 def min_via_mot_exact(C: CostOracle, p=None) -> MinResult:
     """End-to-end exact tuple minimization through the transport oracle.
 
-    Purifies the optimal coupling at the best query of a cutting-plane run
-    at ``minimize_envelope_exact``'s defaults.  Every optimal coupling there
-    has expected objective equal to the best value, so at whichever optimal
+    Purifies the optimal coupling at the best query of a
+    ``minimize_envelope_exact`` run.  Every optimal coupling there has
+    expected objective equal to the best value, so at whichever optimal
     basis the LPs reach, ``gap`` (witness value minus master lower bound)
     gives value - gap <= min f <= value (unclamped: roundoff can make it
     slightly negative); the witness is exact when gap is below the objective
@@ -339,20 +326,22 @@ def min_via_mot_approx(
     (interior-scaled) Gaussian proposals and a geometric temperature schedule
     whose floor tracks the oracle noise; after each restart the best marginals
     are snapped to a few candidate vertices (per-mode argmax plus samples) and
-    re-queried, and the smallest value seen anywhere is returned.  Every
-    reported value is a noisy evaluation of the envelope, so it can undershoot
-    the true minimum by at most the oracle accuracy.  At most ``budget``
-    (>= 1) queries are made: the search ends at the first query it wants past
-    the budget, and the result is then flagged ``budget_exhausted``.
+    re-queried, and the smallest value seen anywhere is returned.  The
+    temperatures scale with the cost's certified ``upper_bound()``; their
+    floor tracks ``eps`` (finite and >= 0), the oracle accuracy by default.
+    Every reported value is a noisy evaluation of the envelope, so it can
+    undershoot the true minimum by at most the oracle accuracy.  At most
+    ``budget`` (>= 1) queries are made: the search ends at the first query it
+    wants past the budget, and the result is then flagged ``budget_exhausted``.
     ``queries`` counts this call's queries, not the oracle's lifetime count.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    eps_eff = oracle.accuracy if eps is None else _checked_eps(eps)
     n, k = oracle.n, oracle.k
     p = as_weights(p, n, k)
     rng = np.random.default_rng(seed)
-    eps_eff = oracle.accuracy if eps is None else float(eps)
-    scale = max(oracle.c_max, eps_eff, 1e-9)
+    scale = max(oracle.cost.upper_bound(), eps_eff, 1e-9)
     used = 0
     vertex_val, vertex_witness = math.inf, None
 

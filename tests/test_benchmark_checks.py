@@ -29,7 +29,8 @@ def workloads():
 
 
 @pytest.mark.parametrize(
-    "name, ops", [("transport_lp", 60), ("min_exact", 120), ("transport_sinkhorn", 20), ("batch_cli", 10)]
+    "name, ops",
+    [("transport_lp", 60), ("min_exact", 120), ("min_noisy", 40), ("transport_sinkhorn", 20), ("batch_cli", 10)],
 )
 def test_benchmark_checks_pass_on_seed_901(workloads, tmp_path, name, ops):
     workload = workloads.WORKLOADS[name](901, tmp_path)  # batch_cli writes its manifests here

@@ -12,6 +12,8 @@ from motlab import (
     IonCost,
     MarginalSpec,
     MotOracle,
+    MotSolution,
+    SetFunctionCost,
     TransportLP,
     build_clique_tensor,
     build_maxcut_cost,
@@ -34,7 +36,7 @@ from motlab import (
 from motlab.corpus import random_cost, random_marginals
 from motlab.graphs import KPartiteGraph, UndirectedGraph
 from motlab.hardness import lipschitz_experiment, report_passed
-from motlab.reduction import OracleAnswer, project_rows_to_simplex
+from motlab.reduction import project_rows_to_simplex
 from motlab.tensors import CouplingTensor
 
 TRIANGLE = KPartiteGraph(
@@ -252,15 +254,23 @@ def test_exact_reduction_scale_covariance():
 
 
 def test_exact_oracle_requires_duals():
-    oracle = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.0, c_max=1.0)
+    def value_only(accuracy):
+        return MotOracle(lambda mu: MotSolution(0.0, None, None, "test"), DenseCost(np.eye(2)), accuracy)
+
+    oracle = value_only(0.0)
     # a value-only accuracy-0 oracle answers; the cutting plane, which needs duals, refuses it
     assert oracle.query(np.eye(2)).duals is None
     with pytest.raises(ValueError, match="dual potentials"):
         minimize_envelope_exact(oracle, None)
     assert oracle.queries == 2
     # a noisy oracle may answer with values alone
-    noisy = MotOracle(lambda spec: OracleAnswer(value=0.0), 2, 2, accuracy=0.1, c_max=1.0)
+    noisy = value_only(0.1)
     assert noisy.query(np.eye(2)).duals is None
+    # the exact oracle's answer is TransportLP's own, every field of it
+    rng = np.random.default_rng(58)
+    C = random_cost(rng, "dense", 3, 3)
+    mu = np.array(random_marginals(rng, 3, 3))
+    assert MotOracle.exact_lp(C).query(mu) == TransportLP(C, range(C.k)).solve(mu)
 
 
 def test_approx_reduction_exact_oracle_degenerates():
@@ -280,12 +290,35 @@ def test_noisy_oracle_rejects_bad_noise(eps):
         MotOracle.noisy_lp(DenseCost(np.zeros((2, 2))), eps=eps, seed=0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+def test_approx_reduction_rejects_bad_noise(eps):
+    oracle = MotOracle.noisy_lp(random_cost(np.random.default_rng(1), "dense", 3, 3), eps=0.01, seed=0)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        min_via_mot_approx(oracle, eps=eps, budget=100)
+    assert oracle.queries == 0
+
+
+def test_reductions_on_a_cost_without_a_certified_bound():
+    table = np.random.default_rng(59).normal(size=2**10)
+    C = SetFunctionCost(k=10, fn=lambda mask: table[mask])
+    # the exact path never reads the bound
+    res = min_via_mot_exact(C)
+    assert res.value == min_bruteforce(C).value
+    # the annealing temperatures scale with it
+    oracle = MotOracle.noisy_lp(C, eps=0.01, seed=0)
+    with pytest.raises(ValueError, match="c_max_hint"):
+        min_via_mot_approx(oracle, budget=100)
+    assert oracle.queries == 0
+
+
 def test_noisy_oracle_accepts_zero_noise():
     C = DenseCost(np.arange(4.0).reshape(2, 2))
     oracle = MotOracle.noisy_lp(C, eps=0.0, seed=0)
     assert oracle.accuracy == 0.0
     spec = MarginalSpec.fully_fixed([np.array([0.5, 0.5])] * 2)
-    assert oracle.query(np.array(spec.marginals)).value == pytest.approx(solve_lp(C, spec).value, abs=1e-12)
+    ans = oracle.query(np.array(spec.marginals))
+    assert ans.value == pytest.approx(solve_lp(C, spec).value, abs=1e-12)
+    assert ans.coupling is None and ans.duals is None
 
 
 @pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
@@ -350,11 +383,11 @@ def test_approx_reduction_reports_what_it_queried(kind, budget):
         asked.append((mu.copy(), ans.value))
         return ans
 
-    oracle = MotOracle(fn, C.n, C.k, inner.accuracy, inner.c_max)
+    oracle = MotOracle(fn, C, inner.accuracy)
     res = min_via_mot_approx(oracle, p, budget=budget, seed=57)
 
     def envelope(mu, value):  # F at mu from a recorded answer, through envelope_value itself
-        return envelope_value(MotOracle(lambda _: OracleAnswer(value=value), C.n, C.k, 0.0, 0.0), p, mu).value
+        return envelope_value(MotOracle(lambda _: MotSolution(value, None, None, "test"), C, 0.0), p, mu).value
 
     values = [envelope(mu, v) for mu, v in asked]
     assert res.queries == len(asked) <= budget
@@ -539,13 +572,25 @@ def test_exact_oracle_reuses_one_model(monkeypatch):
     assert built == [(0, 1, 2)]
 
 
-def test_minimize_envelope_rejects_max_iters_below_one():
-    C = DenseCost(np.arange(4.0).reshape(2, 2))
+def test_minimize_envelope_uncertified_exit(monkeypatch):
+    rng = np.random.default_rng(43)
+    C = random_cost(rng, "dense", 3, 3)
+    p = rng.normal(size=(3, 3))
+    assert minimize_envelope_exact(MotOracle.exact_lp(C), p).iterations == 2
+    monkeypatch.setattr(reduction, "_MAX_ITERS", 1)
     oracle = MotOracle.exact_lp(C)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iters"):
-            minimize_envelope_exact(oracle, None, max_iters=bad)
-    assert oracle.queries == 0
+    answers = []
+
+    def recorded(mu):
+        answers.append(oracle.query(mu))
+        return answers[-1]
+
+    em = minimize_envelope_exact(MotOracle(recorded, C, 0.0), p)
+    assert not em.certified and em.iterations == 1
+    assert len(em.ub_history) == len(em.lb_history) == 1
+    assert em.lower_bound <= em.value
+    assert len(answers) == 1 and em.coupling is answers[0].coupling
+    assert min_via_mot_exact(C, p).gap > reduction.DEFAULT_TARGET_GAP
 
 
 def test_minimize_envelope_lower_bound_history():
