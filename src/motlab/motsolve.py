@@ -331,7 +331,8 @@ class _OptimalBasis:
     basic columns and N the rows whose slack is not basic.  The value is
     then c_B . x_B: the transport value is piecewise linear in b, one piece
     per optimal basis (Bertsimas and Tsitsiklis, Introduction to Linear
-    Optimization, 5.2).
+    Optimization, 5.2).  ``cost`` is c_B as the ``TransportLP`` holds it for
+    its columns, the costs it handed HiGHS.
     """
 
     __slots__ = ("block", "rows", "inverse", "cost")
@@ -376,7 +377,9 @@ class TransportLP:
     first tries the ``_BASIS_CACHE_SIZE`` optimal bases its latest HiGHS runs
     ended at, each certified over every tuple, most recently used first, and
     answers from the first one optimal at the query (``_OptimalBasis``)
-    without a run; such a value agrees with HiGHS's up to roundoff.
+    without a run; such a value agrees with HiGHS's up to roundoff.  Each
+    held column keeps the cost it entered HiGHS with, from ``materialize``
+    or from ``evaluate_batch``, and a kept basis takes c_B from those.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -391,6 +394,7 @@ class TransportLP:
         self._C = C
         self._rows = np.array(constrained)  # the potentials' row of each block of n equality rows
         self._tuples = np.zeros((0, k), dtype=np.int64)  # self._tuples[c]: index tuple of master column c
+        self._costs = np.zeros(0)  # self._costs[c]: its cost, as handed to HiGHS
         self._held = set()  # the rows of self._tuples as Python tuples, on column generation only
         self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
         self._lock = threading.Lock()
@@ -399,13 +403,17 @@ class TransportLP:
         if self._price is None:  # materialize checks the dense cap before any n^k allocation
             self._add(C.materialize().ravel(), all_index_tuples(n, k))
 
+    def _eq_rows(self, tuples) -> np.ndarray:
+        """The (c, m) equality rows of the (c, k) index tuples' columns: column
+        j has a one in row r * n + tuples[j, constrained[r]] for each
+        constrained mode r."""
+        return tuples[:, self.constrained] + self.n * np.arange(len(self.constrained))
+
     def _columns(self, tuples):
-        """Constraint columns of the (c, k) index tuples as CSC (data, indices,
-        indptr): column j has a one in row r * n + tuples[j, constrained[r]]
-        for each constrained mode."""
+        """Constraint columns of the (c, k) index tuples as CSC (data, indices, indptr)."""
         m = len(self.constrained)
         indptr = np.arange(0, m * len(tuples) + 1, m, dtype=np.int32)
-        indices = (tuples[:, self.constrained] + self.n * np.arange(m)).ravel().astype(np.int32)
+        indices = self._eq_rows(tuples).ravel().astype(np.int32)
         return np.ones(indices.size), indices, indptr
 
     def _checked(self, mu) -> np.ndarray:
@@ -421,6 +429,7 @@ class TransportLP:
     def _add(self, costs, tuples) -> None:
         """Add to the master the (c, k) index tuples ``tuples``, none of them held, at ``costs``."""
         self._tuples = np.concatenate([self._tuples, tuples])
+        self._costs = np.concatenate([self._costs, costs])
         self._lp.add_cols(costs, np.zeros(len(costs)), *self._columns(tuples))
 
     def _grow(self, tuples) -> bool:
@@ -487,9 +496,8 @@ class TransportLP:
         """Put the last run's optimal basis at the front of the kept ones."""
         cols, rows = self._lp.basis()
         block = np.zeros((self.n * len(self.constrained), cols.size))
-        _, ones, _ = self._columns(self._tuples[cols])
-        block[ones.reshape(cols.size, -1), np.arange(cols.size)[:, None]] = 1.0
-        self._bases.insert(0, _OptimalBasis(block, rows, self._C.evaluate_batch(self._tuples[cols])))
+        block[self._eq_rows(self._tuples[cols]), np.arange(cols.size)[:, None]] = 1.0
+        self._bases.insert(0, _OptimalBasis(block, rows, self._costs[cols]))
         del self._bases[_BASIS_CACHE_SIZE:]
 
     def value(self, mu) -> float:

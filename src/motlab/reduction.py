@@ -122,8 +122,10 @@ def _envelope_value(oracle: MotOracle, p: np.ndarray, mu: np.ndarray) -> Envelop
     """``envelope_value`` on a checked (k, n) weight array and float marginals."""
     ans = oracle.query(mu)
     # Per-mode dots accumulated exactly like the per-tuple objective, so the
-    # vertex identity F(point mass at j) = f(j) holds bitwise.
-    dots = np.array([p[i] @ mu[i] for i in range(oracle.k)])
+    # vertex identity F(point mass at j) = f(j) holds bitwise.  Each mode is
+    # a (1, n) @ (n, 1) product, the dot kernel a 1-D p[i] @ mu[i] runs, and
+    # one matmul call batches the modes.
+    dots = (p[:, None, :] @ mu[:, :, None]).ravel()
     value = float(ans.value - dots.sum())
     sub = ans.duals - p if ans.duals is not None else None
     return EnvelopePoint(mu=mu, value=value, subgradient=sub, coupling=ans.coupling)
@@ -138,14 +140,31 @@ def project_rows_to_simplex(mat: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of a 2-D array onto the probability
     simplex: subtract the row's threshold theta and clip at 0, where theta
     is (sum of the rho largest entries - 1) / rho for the last rho at which
-    the rho-th largest entry still exceeds that mean."""
+    the rho-th largest entry still exceeds that mean.
+
+    The means are running sums over Python floats, one row at a time: on
+    the small rows of an annealing proposal that is cheaper than numpy's
+    sort and cumsum, and it rounds as they do.  Raises ValueError unless
+    ``mat`` is 2-D with at least one column and every row has a threshold:
+    a row whose entries or their sum are not all finite has none, nor does
+    one whose largest entry x has x - 1 == x in floating point, as every
+    |x| >= 2^54 has."""
     mat = np.asarray(mat, dtype=float)
-    a = -np.sort(-mat, axis=1)
-    cums = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, mat.shape[1] + 1)
-    # the first entry always exceeds its mean, so every row has a last hit
-    rho = mat.shape[1] - 1 - np.argmax((a > cums)[:, ::-1], axis=1)
-    theta = cums[np.arange(mat.shape[0]), rho]
-    return np.maximum(mat - theta[:, None], 0.0)
+    if mat.ndim != 2 or mat.shape[1] == 0:
+        raise ValueError(f"expected a 2-D array with at least one column, got shape {mat.shape}")
+    thetas = []
+    for r, row in enumerate(mat.tolist()):
+        total, theta = 0.0, None
+        for rho, a in enumerate(sorted(row, reverse=True), 1):
+            total += a
+            mean = (total - 1.0) / rho
+            if a > mean:
+                theta = mean
+        # a non-finite entry leaves the sum non-finite, whatever order sorted gave
+        if theta is None or not math.isfinite(total):
+            raise ValueError(f"row {r} has no simplex threshold in floating point: {row}")
+        thetas.append(theta)
+    return np.maximum(mat - np.array(thetas)[:, None], 0.0)
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:

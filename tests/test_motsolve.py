@@ -329,6 +329,28 @@ def test_warm_values_match_cold_solves():
     assert count == 10 * 10 * 40
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("size", ["full LP", "column generation"])
+def test_held_column_costs_are_the_evaluated_costs_bitwise(family, size):
+    # kept bases take c_B from the costs the master holds, so those must be
+    # what evaluate_batch gives for the held tuples, bit for bit: on the full
+    # LP they come from one materialize, under column generation from
+    # evaluate_batch on each round's new tuples
+    binary = family in ("set_function", "two_sat")
+    n, k = {"full LP": (2, 4) if binary else (3, 3),
+            "column generation": (2, 9) if binary else (8, 3)}[size]
+    assert (n**k >= motsolve._CG_MIN_COLUMNS) == (size == "column generation")
+    rng = np.random.default_rng(52)
+    C = random_cost(rng, family, n, k)
+    lp = TransportLP(C, range(k))
+    for q in range(8):
+        mu = np.stack(random_marginals(rng, n, k)) if q % 2 else np.eye(n)[rng.integers(0, n, k)]
+        lp.value(mu)
+    assert len(lp._costs) == len(lp._tuples) > 0
+    assert lp._costs.dtype == np.float64
+    assert lp._costs.tobytes() == np.asarray(C.evaluate_batch(lp._tuples), dtype=float).tobytes()
+
+
 def test_interleaved_values_and_solves_certify():
     rng = np.random.default_rng(35)
     for family, C, specs in _value_corpus(rng, costs_per_family=1, queries=12):

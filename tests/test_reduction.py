@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ def test_envelope_vertex_identity_full_enumeration():
             point = envelope_value(oracle, p, np.eye(n)[list(j)])
             f = float(weighted_objective(C, p, np.asarray([j]))[0])
             assert point.value == f
+
+
+def test_envelope_dots_match_per_mode_dots_bitwise():
+    # the batched dots must round as one 1-D p[i] @ mu[i] per mode does,
+    # at vertices, interior points and off the simplex alike
+    rng = np.random.default_rng(53)
+    for t in range(3000):
+        k, n = (int(v) for v in rng.integers(1, 9, size=2))
+        value = float(rng.normal())
+        # the stub answers from n and k alone, so no cost tensor is built
+        oracle = MotOracle(lambda mu: MotSolution(value, None, None, "stub"), SimpleNamespace(n=n, k=k), 0.01)
+        p = rng.normal(size=(k, n)) * 10.0 ** int(rng.integers(-3, 4))
+        if t % 3 == 0:
+            mu = np.eye(n)[rng.integers(0, n, k)]
+        else:
+            mu = rng.dirichlet(np.ones(n), size=k)
+            if t % 3 == 2:
+                mu += 0.3 * rng.standard_normal(mu.shape)
+        want = float(value - np.array([p[i] @ mu[i] for i in range(k)]).sum())
+        assert envelope_value(oracle, p, mu).value.hex() == want.hex(), (t, p, mu)
 
 
 def test_envelope_zero_weights_is_transport_value():
@@ -483,9 +504,12 @@ def _project_row_reference(v):
 
 def test_row_projection_matches_per_row_reference_bitwise():
     rng = np.random.default_rng(49)
-    for t in range(4000):
-        k, n = (int(v) for v in rng.integers(1, 7, size=2))
-        kind = t % 5
+    raised = 0
+    for t in range(6000):
+        # small rows as annealing makes them, and on every fourth draw up to 16 x 64
+        hi_k, hi_n = (17, 65) if t % 4 == 3 else (7, 7)
+        k, n = int(rng.integers(1, hi_k)), int(rng.integers(1, hi_n))
+        kind = t % 8
         if kind == 0:
             mat = rng.normal(size=(k, n)) * 3
         elif kind == 1:  # rows already on the simplex
@@ -496,11 +520,49 @@ def test_row_projection_matches_per_row_reference_bitwise():
         elif kind == 3:  # point masses, with a perturbation on half the rows
             mat = np.eye(n)[rng.integers(0, n, k)]
             mat[::2] += 0.1 * rng.standard_normal((len(mat[::2]), n))
-        else:  # annealing proposals: a simplex point plus a scaled Gaussian step
+        elif kind == 4:  # annealing proposals: a simplex point plus a scaled Gaussian step
             mu = rng.dirichlet(np.ones(n), size=k)
             mat = mu + 0.8 * (mu + 0.5 / n) * rng.standard_normal((k, n))
-        want = np.stack([_project_row_reference(row) for row in mat])
-        assert np.array_equal(project_rows_to_simplex(mat), want), (t, mat)
+        elif kind == 5:  # -0.0 among zeros and ties, and an all -0.0 row
+            mat = rng.integers(-1, 2, size=(k, n)) / 2.0
+            mat[(mat == 0) & (rng.random((k, n)) < 0.5)] = -0.0
+            mat[0] = -0.0
+        elif kind == 6:  # entries near +-1e300 among ordinary ones
+            mat = rng.normal(size=(k, n))
+            huge = rng.random((k, n)) < 0.3
+            mat[huge] = rng.choice([-1.0, 1.0], huge.sum()) * 1e300 * rng.uniform(0.5, 2.0, huge.sum())
+        else:  # subnormal entries, alone and on a simplex point
+            mat = rng.integers(-2**20, 2**20, size=(k, n)) * 5e-324
+            mat[::2] += rng.dirichlet(np.ones(n), size=len(mat[::2]))
+        want = []
+        for row in mat:
+            try:
+                want.append(_project_row_reference(row))
+            except ValueError:  # no entry exceeds its running mean: a largest entry x with x - 1 == x
+                with pytest.raises(ValueError, match="no simplex threshold"):
+                    project_rows_to_simplex(row[None, :])
+                want.append(None)
+        if any(row is None for row in want):
+            raised += 1
+            with pytest.raises(ValueError, match="no simplex threshold"):
+                project_rows_to_simplex(mat)
+        else:
+            assert np.array_equal(project_rows_to_simplex(mat), np.stack(want)), (t, mat)
+    assert 0 < raised < 750  # kind 6 only, and not every draw of it
+
+
+@pytest.mark.parametrize("mat", [
+    np.array([0.2, 0.8]),  # 1-D
+    np.zeros((2, 2, 2)),  # 3-D
+    np.zeros((3, 0)),  # zero columns
+    np.array([[0.5, np.nan, 0.5]]),
+    np.array([[0.2, 0.3], [np.inf, 0.0]]),
+    np.array([[0.2, -np.inf, 0.3]]),
+    np.array([[0.5, -1e308, -1e308]]),  # finite entries whose sum overflows
+])
+def test_row_projection_rejects_what_it_cannot_project(mat):
+    with pytest.raises(ValueError):
+        project_rows_to_simplex(mat)
 
 
 def test_query_counting():
