@@ -59,10 +59,12 @@ class CostOracle:
     def pricer(self):
         """Pricing for column generation, the MIN oracle of arXiv 2008.03006:
         price(p, width, below) of (k, n) potentials p returns min_j C_j -
-        sum_i p[i][j_i] and the tuples below ``below``, a (c, k) array in
-        lexicographic order cut to the ``width`` least.  This default holds the
-        cost materialized here, once, and filters before it cuts, so which
-        tied tuples it keeps does not depend on those above ``below``."""
+        sum_i p[i][j_i], the tuples below ``below``, a (c, k) array in
+        lexicographic order cut to the ``width`` least, and their costs C_j,
+        bitwise ``evaluate_batch`` of them.  This default holds the cost
+        materialized here, once, gathers the costs from it, and filters
+        before it cuts, so which tied tuples it keeps does not depend on
+        those above ``below``."""
         cost = self.materialize()
 
         def price(p, width, below):
@@ -72,7 +74,8 @@ class CostOracle:
             new = np.flatnonzero(red < below)
             if new.size > width:
                 new = np.sort(new[np.argpartition(red.ravel()[new], width)[:width]])
-            return float(red.min()), np.stack(np.unravel_index(new, cost.shape), axis=1)
+            tuples = np.stack(np.unravel_index(new, cost.shape), axis=1)
+            return float(red.min()), tuples, cost.ravel()[new]
 
         return price
 

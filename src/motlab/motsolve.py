@@ -43,11 +43,13 @@ _DUAL_TOL = 1e-9
 
 # Transport LPs of at least this many columns (n^k) start from a restricted
 # master and grow it by column generation; smaller ones hand HiGHS every
-# column.  Measured with one-shot solve_lp on a 2-core VM (mean of 20
-# instances, full LP -> column generation): 2^9 7.5 -> 4.1 ms and 2^10
-# 15.8 -> 5.0 ms, but 4^4 3.1 -> 3.7 ms and 3^5 3.1 -> 3.5 ms; and on the
-# tiny LPs of the noisy oracle (at most 27 columns) column generation cost
-# 35% of min_noisy's ops/s.
+# column.  Measured with one-shot solve_lp on dense costs (2-core VM, one
+# BLAS thread, mean of 20 instances, best of 3; full LP -> column
+# generation with primal restarts after each pricing round): 2^9 3.9 -> 2.1
+# ms and 2^10 7.8 -> 2.4 ms, but 4^4 1.6 -> 1.8 ms and 3^5 1.6 -> 1.6 ms; and
+# on the tiny LPs of the noisy oracle (at most 27 columns) column generation
+# cost 35% of min_noisy's ops/s.  The crossover lies near 3^5, but below 512
+# the full LP's first run is bitwise linprog's, so the threshold stays.
 _CG_MIN_COLUMNS = 512
 
 # Optimal bases a TransportLP keeps to answer ``value`` without a
@@ -112,11 +114,16 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+# HiGHS's simplex strategies: dual, and primal for a run from an optimal
+# basis that has since gained columns only, which leave it primal feasible
+# (HighsLP.solve).
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
+
 # What linprog(method="highs-ds", options=_LP_OPTIONS) hands HiGHS; logging off.
 _HIGHS_SETTINGS = {
     "presolve": "on",
     "solver": "simplex",
-    "simplex_strategy": 1,  # dual simplex
+    "simplex_strategy": _DUAL_SIMPLEX,
     "primal_feasibility_tolerance": _LP_OPTIONS["primal_feasibility_tolerance"],
     "dual_feasibility_tolerance": _LP_OPTIONS["dual_feasibility_tolerance"],
     "output_flag": False,
@@ -129,7 +136,8 @@ _RESULT_TOL = math.sqrt(1e-9) * 10
 try:  # private scipy bindings; every HighsLP falls back to linprog without them
     from scipy.optimize._highspy import _core
 
-    _core._Highs.clearSolver  # probe: the model-reuse call HighsLP depends on
+    _core._Highs.clearSolver  # probe: the model-reuse calls HighsLP depends on
+    _core._Highs.setOptionValue
 except (ImportError, AttributeError):
     _core = None
 else:
@@ -148,12 +156,17 @@ class HighsLP:
     scipy's private bindings with the one option set.  Every column enters
     through ``add_cols``; ``set_rhs`` changes the equality bounds in place.
     ``solve`` runs from the basis the last run left (none, on a new model):
-    a new rhs or row leaves it dual feasible and a new column primal
-    feasible, so a run restarts with a few pivots.  Only the optimal value
-    is independent of the basis found.  A run that does not end optimal is
-    cleared and run once more from cold, and the result is checked as
-    linprog checks its own; without the private bindings ``solve`` calls
-    ``linprog`` on the same LP.
+    a new rhs or row leaves an optimal basis dual feasible and a new column
+    leaves it primal feasible (Bertsimas and Tsitsiklis, Introduction to
+    Linear Optimization, 3.8 and 4.5), so a run restarts with a few pivots
+    on the side still feasible.  A run after columns alone, since the last
+    checked optimal run, is primal simplex; every other run (a new model's
+    first, after ``set_rhs`` or ``add_row``, the cold retry) is dual
+    simplex, today's one option set.  Only the optimal value is independent
+    of the basis found.  A run that does not end optimal is cleared and run
+    once more from cold, and the result is checked as linprog checks its
+    own; without the private bindings ``solve`` calls ``linprog`` on the
+    same LP.
     """
 
     def __init__(self, b_eq, what: str):
@@ -165,6 +178,10 @@ class HighsLP:
         self._row_upper = self._row_lower.copy()
         self._col_lower = np.zeros(0)
         self._highs = None
+        # the basis HiGHS holds is primal feasible: the last run ended
+        # optimal and only columns were added since
+        self._primal = False
+        self._strategy = _DUAL_SIMPLEX  # the model's simplex strategy
         if _core is None:
             # costs, equality rows and added rows, kept for linprog only
             self._c, self._A_eq, self._rows = np.zeros(0), sp.csc_array((self._m, 0)), []
@@ -181,6 +198,7 @@ class HighsLP:
     def set_rhs(self, b_eq) -> None:
         """Replace the right-hand side of the equality rows."""
         m = self._m
+        self._primal = False
         self._row_lower[:m] = self._row_upper[:m] = b_eq
         if self._highs is not None:
             for row, bound in enumerate(self._row_upper[:m].tolist()):
@@ -189,6 +207,7 @@ class HighsLP:
     def add_row(self, a, upper: float) -> None:
         """Add the row a.x <= upper, with ``a`` dense over the columns."""
         a = np.asarray(a, dtype=float)
+        self._primal = False
         self._row_lower = np.append(self._row_lower, -np.inf)
         self._row_upper = np.append(self._row_upper, upper)
         if self._highs is None:
@@ -222,18 +241,27 @@ class HighsLP:
         HiGHS's or linprog's own status, when there is no checked optimum."""
         if self._highs is None:
             return self._linprog()
-        self._highs.run()
+        self._run(_PRIMAL_SIMPLEX if self._primal else _DUAL_SIMPLEX)
         if self._highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
             self._highs.clearSolver()
-            self._highs.run()
+            self._run(_DUAL_SIMPLEX)
         return self._result()
+
+    def _run(self, strategy: int) -> None:
+        """One HiGHS run with the simplex ``strategy``, set only where it changes."""
+        if strategy != self._strategy:
+            if self._highs.setOptionValue("simplex_strategy", strategy) == _core.HighsStatus.kError:
+                raise RuntimeError(f"HiGHS rejected simplex strategy {strategy} for the {self.what}")
+            self._strategy = strategy
+        self._highs.run()
 
     def _result(self):
         """What ``solve`` returns for the last run, once its status is
         optimal and it meets the constraints to linprog's tolerance."""
         highs = self._highs
         status = highs.getModelStatus()
-        if status != _core.HighsModelStatus.kOptimal:
+        self._primal = status == _core.HighsModelStatus.kOptimal
+        if not self._primal:
             raise RuntimeError(
                 f"{self.what} failed: HiGHS model status {int(status)} "
                 f"({highs.modelStatusToString(status)})"
@@ -360,26 +388,34 @@ class TransportLP:
     every row on the simplex; only their shape and finiteness are checked.
 
     The LP is a master on the index tuples it holds, which every query keeps,
-    and each run starts from the basis the last one left (``HighsLP.solve``).
+    and each run starts from the basis the last one left (``HighsLP.solve``):
+    a query's first run is dual simplex, since only the marginals changed.
     Below ``_CG_MIN_COLUMNS`` columns (n^k) it holds every tuple, at the
     costs of one ``materialize``, so a new instance's first query is a cold
     run: one-shot ``solve_lp`` returns what ``linprog`` would, bit for bit.
     Later queries agree on the value up to roundoff; their coupling and duals
     are an optimal pair that can depend on earlier queries.  From there on,
     an empty master grows by each query's multimarginal north-west-corner
-    tuples, then by the new tuples the cost's ``pricer`` finds below
-    -``_DUAL_TOL`` (at most n k per run) at each run's potentials, until there
-    are none.  The pricer's minimum then certifies the potentials over every
-    tuple: the value is the full LP's up to roundoff, but the basic solution
-    may be another optimal one.
+    tuples not yet held (at costs from ``evaluate_batch``), then by the
+    tuples the cost's ``pricer`` finds below -``_DUAL_TOL`` (at most n k per
+    run, at the costs it returns) at each run's potentials, until there are
+    none.  A held column prices at or above HiGHS's dual tolerance, so a
+    priced tuple the master holds raises.  Each run after a pricing round
+    restarts primal simplex from the optimal basis, which new columns leave
+    primal feasible: on the transport_lp benchmark that halves the simplex
+    iterations per solve (181 -> 86 against dual restarts).  The
+    pricer's minimum then certifies the potentials over every tuple: the
+    value is the full LP's up to roundoff, but the basic solution may be
+    another optimal one.
 
     ``value`` returns the optimal value alone.  With the private bindings it
     first tries the ``_BASIS_CACHE_SIZE`` optimal bases its latest HiGHS runs
     ended at, each certified over every tuple, most recently used first, and
     answers from the first one optimal at the query (``_OptimalBasis``)
     without a run; such a value agrees with HiGHS's up to roundoff.  Each
-    held column keeps the cost it entered HiGHS with, from ``materialize``
-    or from ``evaluate_batch``, and a kept basis takes c_B from those.
+    held column keeps the cost it entered HiGHS with, from ``materialize``,
+    ``evaluate_batch`` or the pricer, all bitwise equal, and a kept basis
+    takes c_B from those.
 
     Queries are serialized by a lock, so one instance may be shared across
     threads.
@@ -393,9 +429,11 @@ class TransportLP:
         self.n, self.k, self.constrained = n, k, constrained
         self._C = C
         self._rows = np.array(constrained)  # the potentials' row of each block of n equality rows
+        self._offsets = n * np.arange(len(constrained))  # the first equality row of each block
         self._tuples = np.zeros((0, k), dtype=np.int64)  # self._tuples[c]: index tuple of master column c
         self._costs = np.zeros(0)  # self._costs[c]: its cost, as handed to HiGHS
-        self._held = set()  # the rows of self._tuples as Python tuples, on column generation only
+        self._held = set()  # the flat indices of the held tuples, on column generation only
+        self._strides = n ** np.arange(k - 1, -1, -1)  # a tuple's flat index is tuple @ strides
         self._lp = HighsLP(np.zeros(n * len(constrained)), "transport LP")
         self._lock = threading.Lock()
         self._bases = [] if _core is not None else None  # optimal bases for value, most recently used first
@@ -407,7 +445,7 @@ class TransportLP:
         """The (c, m) equality rows of the (c, k) index tuples' columns: column
         j has a one in row r * n + tuples[j, constrained[r]] for each
         constrained mode r."""
-        return tuples[:, self.constrained] + self.n * np.arange(len(self.constrained))
+        return tuples.take(self._rows, axis=1) + self._offsets
 
     def _columns(self, tuples):
         """Constraint columns of the (c, k) index tuples as CSC (data, indices, indptr)."""
@@ -432,16 +470,20 @@ class TransportLP:
         self._costs = np.concatenate([self._costs, costs])
         self._lp.add_cols(costs, np.zeros(len(costs)), *self._columns(tuples))
 
-    def _grow(self, tuples) -> bool:
-        """Add the distinct (c, k) index ``tuples`` the master does not hold; False if none is new."""
-        keys = list(map(tuple, tuples.tolist()))
-        new = [key not in self._held for key in keys]
-        if not any(new):
-            return False
+    def _grow(self, tuples, costs=None) -> None:
+        """Add the distinct (c, k) index ``tuples`` the master does not hold,
+        at costs from ``evaluate_batch``; or, given their ``costs`` (a pricing
+        round's), add them all, raising if the master holds one."""
+        keys = (tuples @ self._strides).tolist()
+        if costs is None:
+            tuples = tuples[[key not in self._held for key in keys]]
+            if not len(tuples):
+                return
+            costs = self._C.evaluate_batch(tuples)
+        elif not self._held.isdisjoint(keys):
+            raise RuntimeError(f"{self._lp.what} failed: pricing returned a column the master holds")
         self._held.update(keys)
-        tuples = tuples[new]
-        self._add(self._C.evaluate_batch(tuples), tuples)
-        return True
+        self._add(costs, tuples)
 
     def _nw_corner(self, mu) -> np.ndarray:
         """The multimarginal north-west-corner tuples of ``mu``, at most
@@ -470,9 +512,10 @@ class TransportLP:
 
     def _run(self, mu):
         """Answer the checked marginals ``mu`` under the lock: run the master,
-        and on column generation price until no tuple is new.  Returns x, the
-        objective value, the last run's equality-row duals, the iterations
-        summed over all runs, and the index tuple of each column of x."""
+        and on column generation price until the pricer returns no tuple.
+        Returns x, the objective value, the last run's equality-row duals, the
+        iterations summed over all runs, and the index tuple of each column of
+        x."""
         self._lp.set_rhs(mu.ravel())
         if self._price is None:
             return (*self._lp.solve(), self._tuples)
@@ -481,16 +524,15 @@ class TransportLP:
         while True:
             x, fun, y, it = self._lp.solve()
             rounds, nit = rounds + 1, nit + it
-            worst, below = self._price(self._potentials(y), self.n * self.k, -_DUAL_TOL)
-            if not self._grow(below):
-                if worst < -_DUAL_TOL:
-                    raise RuntimeError(
-                        f"{self._lp.what} failed: a held column has reduced cost {worst:.3g} "
-                        f"below -{_DUAL_TOL:g}"
-                    )
+            worst, below, costs = self._price(self._potentials(y), self.n * self.k, -_DUAL_TOL)
+            if not len(below):
+                if worst < -_DUAL_TOL:  # the certificate: no tuple below -_DUAL_TOL
+                    raise RuntimeError(f"{self._lp.what} failed: pricing found reduced cost "
+                                       f"{worst:.3g} below -{_DUAL_TOL:g} but no column")
                 _log.debug("%s: %d pricing rounds, %d columns held, %d simplex iterations",
                            self._lp.what, rounds, len(self._tuples), nit)
                 return x, fun, y, nit, self._tuples
+            self._grow(below, costs)
 
     def _keep_basis(self) -> None:
         """Put the last run's optimal basis at the front of the kept ones."""
@@ -544,8 +586,9 @@ def solve_lp(C: CostOracle, spec: MarginalSpec) -> MotSolution:
     """Exact transport value by LP, from a one-shot ``TransportLP`` (the full
     LP below ``_CG_MIN_COLUMNS`` columns, column generation from there on);
     either materializes the cost once, so n^k must fit under the dense cap.
-    Solved with HiGHS dual simplex: the coupling is a basic solution and the
-    equality multipliers are optimal potentials, zero on unconstrained modes.
+    Solved with HiGHS simplex (dual, and primal after each pricing round): the
+    coupling is a basic solution and the equality multipliers are optimal
+    potentials, zero on unconstrained modes.
     Callers querying one cost repeatedly should keep a ``TransportLP``.
     """
     if (C.n, C.k) != (spec.n, spec.k):

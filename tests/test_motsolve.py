@@ -335,7 +335,8 @@ def test_held_column_costs_are_the_evaluated_costs_bitwise(family, size):
     # kept bases take c_B from the costs the master holds, so those must be
     # what evaluate_batch gives for the held tuples, bit for bit: on the full
     # LP they come from one materialize, under column generation from
-    # evaluate_batch on each round's new tuples
+    # evaluate_batch on the north-west-corner tuples and from the pricer's
+    # gather on the priced ones
     binary = family in ("set_function", "two_sat")
     n, k = {"full LP": (2, 4) if binary else (3, 3),
             "column generation": (2, 9) if binary else (8, 3)}[size]
@@ -640,11 +641,14 @@ def _priced_reference(f, width, below):
 
 def _check_pricer(C, p, width, below=-motsolve._DUAL_TOL):
     f = objective_tensor(C, p)
-    worst, tuples = C.pricer()(p, width, below)
+    worst, tuples, costs = C.pricer()(p, width, below)
     want_min, want = _priced_reference(f, width, below)
     assert worst == want_min
     assert tuples.shape == (want.size, C.k)
     assert np.array_equal(np.ravel_multi_index(tuple(tuples.T), f.shape), want)
+    # the master adds priced columns at these costs, so they are evaluate_batch's bit for bit
+    assert costs.dtype == np.float64
+    assert costs.tobytes() == np.asarray(C.evaluate_batch(tuples), dtype=float).tobytes()
     # the documented cut: the width least of those below, none above below
     kept = f.ravel()[want]
     rest = np.setdiff1d(np.flatnonzero(f.ravel() < below), want)
@@ -740,6 +744,146 @@ def test_column_generation_terminates_without_readding_columns(monkeypatch):
     held = len(lp._tuples)
     assert sum(added) == held == len(np.unique(lp._tuples, axis=0)) == len(lp._held)
     assert held <= 7 * 6 + 1 + 48 * (model.calls.count("run") - 1)
+
+
+@pytest.mark.parametrize("fake", ["held", "held and new", "none but below"])
+def test_column_generation_raises_on_a_pricer_that_breaks_its_contract(fake):
+    # a held column prices at or above -1e-10 (HiGHS's dual tolerance), so
+    # a pricer returning one, or returning nothing while its minimum is
+    # below -_DUAL_TOL, has broken the certificate
+    rng = np.random.default_rng(54)
+    C = random_cost(rng, "dense", 8, 3)
+    lp = TransportLP(C, range(3))
+    mu = np.stack(random_marginals(rng, 8, 3))
+    lp.solve(mu)
+    held = len(lp._tuples)
+    fresh = np.stack(np.unravel_index(np.setdiff1d(np.arange(8**3), list(lp._held))[:1], (8,) * 3), axis=1)
+    tuples = {"held": lp._tuples[:1], "held and new": np.concatenate([lp._tuples[:1], fresh]),
+              "none but below": np.zeros((0, 3), dtype=np.int64)}[fake]
+    calls = []
+
+    def price(p, width, below):  # then certifies, so a missed check ends the query
+        calls.append(p)
+        return (-1.0, tuples, C.evaluate_batch(tuples)) if len(calls) == 1 else (0.0, tuples[:0], np.zeros(0))
+
+    lp._price = price
+    match = "pricing found reduced cost" if fake == "none but below" else "pricing returned a column the master holds"
+    with pytest.raises(RuntimeError, match=f"transport LP failed: {match}"):
+        lp.solve(mu)
+    assert len(lp._tuples) == len(lp._costs) == held  # the query's corner tuples were held already
+
+
+class _RecordedSides:
+    """Passes every attribute through to a HiGHS model and logs its name, and
+    the simplex strategy the model holds at each ``run``; the model-status
+    read after each run numbered (from 0) in ``fail`` reports kUnknown."""
+
+    def __init__(self, highs, fail=()):
+        self._highs, self._fail, self.calls, self.runs = highs, fail, [], []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        if name == "run":
+            self.runs.append(self._highs.getOptions().simplex_strategy)
+        if name == "getModelStatus" and self.calls[-2] == "run" and len(self.runs) - 1 in self._fail:
+            return lambda: motsolve._core.HighsModelStatus.kUnknown
+        return getattr(self._highs, name)
+
+
+def _recorded_models(monkeypatch, fail=()):
+    """Every HiGHS model built from here on, each a ``_RecordedSides``."""
+    models, real = [], motsolve._core._Highs
+
+    def build():
+        models.append(_RecordedSides(real(), fail))
+        return models[-1]
+
+    monkeypatch.setattr(motsolve._core, "_Highs", build)
+    return models
+
+
+DUAL, PRIMAL = 1, 4  # HiGHS's simplex_strategy values
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+@pytest.mark.parametrize("k", [8, 9])
+def test_full_lp_queries_and_cuts_run_dual_simplex(k, monkeypatch):
+    # a query changes the rhs and a cut adds a row: both leave the basis dual
+    # feasible; only the priced columns of the 2^9 LP leave it primal feasible
+    models = _recorded_models(monkeypatch)
+    C = random_cost(np.random.default_rng(55), "set_function", 2, k)
+    reduction.min_via_mot_exact(C)
+    master, transport = sorted(models, key=lambda model: "addRow" not in model.calls)
+    assert len(models) == 2 and len(master.runs) > 2
+    assert set(master.runs) == {DUAL} and "setOptionValue" not in master.calls
+    if 2**k < motsolve._CG_MIN_COLUMNS:
+        assert set(transport.runs) == {DUAL} and "setOptionValue" not in transport.calls
+    else:
+        assert PRIMAL in transport.runs
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_pricing_reruns_run_primal_simplex(monkeypatch):
+    # a new model's first run and each new query's first run are dual, each
+    # run after a pricing round's columns primal
+    models = _recorded_models(monkeypatch)
+    rng = np.random.default_rng(56)
+    C = random_cost(rng, "pairwise", 4, 5)
+    lp = TransportLP(C, range(5))
+    (model,) = models
+    for q in range(6):
+        spec = MarginalSpec.fully_fixed(random_marginals(rng, 4, 5))
+        before = len(model.runs)
+        sol = lp.solve(_rows(spec))
+        assert _certified(C, spec, sol)
+        assert model.runs[before:] == [DUAL] + [PRIMAL] * (len(model.runs) - before - 1)
+    assert model.runs.count(PRIMAL) > 6
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+def test_cold_retry_after_a_primal_run_runs_dual_simplex(monkeypatch):
+    models = _recorded_models(monkeypatch, fail=(1,))
+    rng = np.random.default_rng(57)
+    C = random_cost(rng, "dense", 8, 3)
+    spec = MarginalSpec.fully_fixed(random_marginals(rng, 8, 3))
+    sol = TransportLP(C, range(3)).solve(_rows(spec))
+    (model,) = models
+    assert _certified(C, spec, sol) and _close_to_cold(sol.value, solve_lp(C, spec).value)
+    # run 1, the first primal one, reads as not optimal: cleared, rerun dual
+    assert model.runs[:3] == [DUAL, PRIMAL, DUAL] and len(model.runs) > 3
+    runs = [i for i, name in enumerate(model.calls) if name == "run"]
+    assert model.calls[runs[1] + 1 : runs[2]] == ["getModelStatus", "clearSolver", "setOptionValue"]
+    assert set(model.runs[3:]) == {PRIMAL}
+
+
+def _large_lp_cases(rng):
+    """The ``_lp_specs`` of one cost per family and size at n^k >= 512."""
+    for family in ALL_FAMILIES:
+        sizes = ((2, 9), (2, 10)) if family in ("set_function", "two_sat") else ((8, 3), (4, 5), (2, 9))
+        for n, k in sizes:
+            C = random_cost(rng, family, n, k)
+            for spec in _lp_specs(rng, n, k):
+                yield C, spec
+
+
+@pytest.mark.skipif(motsolve._core is None, reason="needs scipy's private HiGHS bindings")
+@pytest.mark.parametrize("corpus", ["n^k >= 512", "forced column generation"])
+def test_primal_restarts_match_all_dual_runs(corpus, monkeypatch):
+    if corpus == "n^k >= 512":
+        cases = list(_large_lp_cases(np.random.default_rng(58)))
+    else:
+        rng = np.random.default_rng(59)
+        cases = [(C, spec) for family, n, k in FAMILY_SIZES
+                 for C in [random_cost(rng, family, n, k)] for spec in _lp_specs(rng, n, k)]
+        monkeypatch.setattr(motsolve, "_CG_MIN_COLUMNS", 1)
+    assert all(C.n**C.k >= motsolve._CG_MIN_COLUMNS for C, _ in cases)
+    restarted = [TransportLP(C, spec.constrained).solve(_rows(spec)) for C, spec in cases]
+    monkeypatch.setattr(motsolve, "_PRIMAL_SIMPLEX", motsolve._DUAL_SIMPLEX)
+    dual = [TransportLP(C, spec.constrained).solve(_rows(spec)) for C, spec in cases]
+    for (C, spec), a, b in zip(cases, restarted, dual):
+        assert _close_to_cold(a.value, b.value), (C.family, C.n, C.k, spec)
+        assert _certified(C, spec, a) and _certified(C, spec, b), (C.family, C.n, C.k, spec)
+    assert sum(a.iterations for a in restarted) < sum(b.iterations for b in dual)
 
 
 @pytest.mark.parametrize("at_threshold", [True, False])
